@@ -7,10 +7,7 @@
 // machine-independent while the system itself runs as fast as the host
 // allows.
 //
-// Phase 2: repeated small batches, persistent WorkerPool vs spawn-per-Run —
-// the serving workload's thread-dispatch cost.
-//
-// Phase 3: dispensation contention. First a pure QueryQueue drain (no
+// Phase 2: dispensation contention. First a pure QueryQueue drain (no
 // walking) showing what the global ticket counter costs by itself, then the
 // repeated-small-batch walk workload across {per-query, chunked,
 // chunked+steal} × thread counts, with QPS and p50/p99 batch latency per
@@ -20,7 +17,7 @@
 // so they never exceed the query total even though racing drainers
 // overshoot the raw ticket counter.
 //
-// Phase 4: wavefront stepping. The batched inner loop (scheduler.cc) at
+// Phase 3: wavefront stepping. The batched inner loop (wavefront.h) at
 // widths {1, 4, 16} across thread counts, reported as steps/sec with W=1
 // (walk-at-a-time) as the baseline; per-config numbers join the JSON as
 // wavefront_configs, and the whole document is stamped with git SHA, date,
@@ -28,8 +25,8 @@
 // attributable.
 //
 // --quick shrinks every phase for CI smoke. Exit code is non-zero if paths
-// diverge anywhere (dispatch modes, dispensation modes, wavefront widths,
-// or thread counts must never change a walk).
+// diverge anywhere (dispensation modes, wavefront widths, or thread counts
+// must never change a walk).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -148,57 +145,7 @@ int main(int argc, char** argv) {
       "\nwall-clock drops with threads while sim_ms and the walk paths stay fixed\n"
       "(seed-stable parallelism; see scheduler.h and scheduler_test.cc).\n");
 
-  // --- Repeated small batches: persistent pool vs spawn-per-Run. ---
-  // The serving workload (WalkService, docs/SERVING.md): many small batches
-  // back to back. Spawn-per-Run pays thread creation + join per batch; the
-  // persistent pool parks its workers on a condition variable between
-  // batches. Paths are bit-identical in both modes — only wall-clock moves.
-  PrintHeader("Repeated small batches", "persistent WorkerPool vs spawn-per-Run");
-  const int kBatches = quick ? 100 : 400;
-  constexpr size_t kBatchQueries = 64;
-  Node2VecWalk small_walk(2.0, 0.5, 8);
-  auto batch_starts = BenchStarts(graph, kBatchQueries);
-  StepKernel its_step = [](const WalkContext& ctx, const WalkLogic& l, const QueryState& q,
-                           KernelRng& rng) { return InverseTransformStep(ctx, l, q, rng); };
-
-  // At least two workers, even on a single-core host: the comparison is
-  // thread dispatch cost (spawn+join vs park+wake), which inline execution
-  // at workers == 1 would bypass entirely.
-  unsigned batch_workers = std::max(2u, cores);
-  auto run_batches = [&](WorkerDispatch dispatch) {
-    SchedulerOptions options;
-    options.num_threads = batch_workers;
-    options.dispatch = dispatch;
-    WalkScheduler scheduler(options);
-    // Warm-up batch so first-touch effects (and the pool's one-time spawn)
-    // don't land inside the timed loop of either mode.
-    scheduler.Run(graph, small_walk, batch_starts, kBenchSeed, its_step);
-    double wall_ms = 0.0;
-    std::vector<NodeId> paths;
-    for (int b = 0; b < kBatches; ++b) {
-      WalkResult result = scheduler.Run(graph, small_walk, batch_starts, kBenchSeed, its_step);
-      wall_ms += result.wall_ms;
-      if (b == 0) {
-        paths = std::move(result.paths);
-      }
-    }
-    return std::pair<double, std::vector<NodeId>>(wall_ms, std::move(paths));
-  };
-
-  auto [pool_ms, pool_paths] = run_batches(WorkerDispatch::kPersistentPool);
-  auto [spawn_ms, spawn_paths] = run_batches(WorkerDispatch::kSpawnPerRun);
-
-  Table batch_table({"dispatch", "batches", "total wall_ms", "ms/batch", "speedup"});
-  batch_table.AddRow({"spawn-per-run", std::to_string(kBatches), Table::Num(spawn_ms),
-                      Table::Num(spawn_ms / kBatches), "1.00x"});
-  batch_table.AddRow({"persistent pool", std::to_string(kBatches), Table::Num(pool_ms),
-                      Table::Num(pool_ms / kBatches), Table::Num(spawn_ms / pool_ms) + "x"});
-  batch_table.Print();
-  bool identical_modes = pool_paths == spawn_paths;
-  paths_ok = paths_ok && identical_modes;
-  std::printf("paths identical across dispatch modes: %s\n", identical_modes ? "yes" : "NO");
-
-  // --- Phase 3a: pure dispensation drain — the ticket counter in isolation.
+  // --- Phase 2a: pure dispensation drain — the ticket counter in isolation.
   // T threads hammer one QueryQueue with no walk work at all; per-query mode
   // is one contended global RMW per ticket, the chunked modes touch the
   // global counter once per chunk. Dispatch counts use dispensed(), the
@@ -237,7 +184,7 @@ int main(int argc, char** argv) {
   }
   drain_table.Print();
 
-  // --- Phase 3b: the repeated-small-batch walk workload across dispensation
+  // --- Phase 2b: the repeated-small-batch walk workload across dispensation
   // modes. Cheap O(1) cached-alias steps (the served DeepWalk fast path) keep
   // per-query work small enough that dispensation cost is visible; QPS and
   // batch-latency percentiles per config feed BENCH_scheduler.json.
@@ -311,7 +258,7 @@ int main(int argc, char** argv) {
       "rebalances drained cursors — query_queue.h)\n",
       paths_ok ? "yes" : "NO");
 
-  // --- Phase 4: wavefront stepping sweep — the batched inner loop at
+  // --- Phase 3: wavefront stepping sweep — the batched inner loop at
   // widths {1, 4, 16} across thread counts on the Phase-1 walk workload.
   // Steps/sec is wall-clock over actually-sampled steps; W=1 (walk-at-a-
   // time, the pre-wavefront loop shape) is the per-thread-count baseline.
@@ -366,13 +313,13 @@ int main(int argc, char** argv) {
       "paths identical across wavefront widths and thread counts: %s\n"
       "(W in-flight walks per worker advance one step per pass; prefetch\n"
       "staging hides CSR row misses behind the other slots' sampling —\n"
-      "scheduler.cc. Expect parity at 1 thread on 1 core; the win needs\n"
+      "wavefront.h. Expect parity at 1 thread on 1 core; the win needs\n"
       "real memory-level parallelism.)\n",
       paths_ok ? "yes" : "NO");
 
   // --- Instrumentation overhead gate: the metrics layer must be free. ---
   // The scheduler's telemetry is worker-local counters folded into the
-  // registry once per batch (scheduler.cc LocalCounters), so enabling it
+  // registry once per batch (the DrainWavefront tally), so enabling it
   // should not move steps/sec beyond run-to-run noise. Best-of-N on each
   // side to damp scheduler jitter; the 2x floor is deliberately generous —
   // the gate exists to catch a per-step atomic sneaking onto the hot path

@@ -5,7 +5,7 @@
 // footprint formulas, so the *shape* of each figure — who wins, by what
 // factor, where crossovers fall — can be compared against the paper
 // directly. Simulated milliseconds come from the substrate's transaction
-// accounting (DESIGN.md §1), which is deterministic and
+// accounting (docs/ARCHITECTURE.md, "Layer map"), which is deterministic and
 // machine-independent; wall-clock on the host is reported alongside where
 // useful.
 #ifndef FLEXIWALKER_BENCH_BENCH_UTIL_H_
@@ -153,7 +153,8 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref) 
   std::printf("reproduces: %s\n", paper_ref.c_str());
   std::printf("host: %u scheduler worker threads (walk paths are thread-count invariant)\n",
               DefaultWorkerThreads());
-  std::printf("(sim_ms = substrate-accounted simulated milliseconds; see DESIGN.md)\n\n");
+  std::printf(
+      "(sim_ms = substrate-accounted simulated milliseconds; see docs/ARCHITECTURE.md)\n\n");
 }
 
 }  // namespace flexi

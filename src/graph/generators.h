@@ -2,7 +2,8 @@
 //
 // The paper evaluates on SNAP/LAW graphs up to 3.6B edges. Those datasets
 // are not available offline, so benches run on R-MAT stand-ins whose degree
-// skew matches the heavy-tailed profile of the originals (DESIGN.md §1).
+// skew matches the heavy-tailed profile of the originals (the per-dataset
+// stand-in parameters live in datasets.h).
 // Weight/label initialization follows the paper's protocol exactly:
 // uniform real weights from [1, 5), Pareto(alpha) power-law weights,
 // degree-based weights, and uniform integer labels from [0, 4].

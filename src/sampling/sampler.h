@@ -76,7 +76,7 @@ class KernelRng {
 
 // --- Prefetch hints for batched (wavefront) execution ------------------
 //
-// The scheduler's wavefront loop (scheduler.cc) advances W in-flight walks
+// The wavefront loop (src/walker/wavefront.h) advances W in-flight walks
 // one step per pass and stages the *next* access's cache lines while the
 // current slot samples — the CPU recovery of the memory-level parallelism
 // the paper's warp-lockstep kernels get for free. These are hints only:

@@ -146,7 +146,8 @@ StepResult ERvsJumpStepT(const WalkContext& ctx, const WeightFn& weight, const Q
   // global max key; each lane then jumps through its remaining neighbors
   // conditioning on the best key it knows (>= the shared seed), and a final
   // reduction picks the winner. A-ExpJ conditioning keeps the selection
-  // distribution exactly proportional to the weights (see DESIGN.md §4).
+  // distribution exactly proportional to the weights (the jump argument in
+  // reservoir.h; sampling_distribution_test.cc, ERvsWithJump, checks it).
   // Keys live in log space throughout: log k = log(u)/w̃ (all negative;
   // larger means a better key), immune to pow() underflow.
   uint32_t lanes = std::min<uint32_t>(degree, kWarpSize);

@@ -1,6 +1,7 @@
 #include "src/walker/flexiwalker_engine.h"
 
 #include <cstdio>
+#include <optional>
 
 #include "src/compiler/step_emitter.h"
 #include "src/sampling/rejection.h"
@@ -9,6 +10,38 @@
 #include "src/walker/scheduler.h"
 
 namespace flexi {
+
+std::shared_ptr<jit::JitKernel> PrepareFlexiJit(const WalkLogic& logic,
+                                                const FlexiWalkerOptions& options,
+                                                bool use_static_tables) {
+  if (options.jit == jit::JitMode::kOff) {
+    return nullptr;
+  }
+  // Specialize the whole step for this program + strategy and hand the
+  // source to the hash-keyed .so cache. Emitter rejects and every
+  // compile/load failure degrade to the interpreted kernel — paths are
+  // bit-identical either way, so a kernel that arrives mid-service can swap
+  // in without anyone noticing.
+  jit::StepKernelSpec spec;
+  spec.strategy = options.strategy;
+  spec.use_static_tables = use_static_tables;
+  std::string reject_reason;
+  std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
+  if (source.empty()) {
+    jit::CountFallback("unsupported_program");
+    return nullptr;
+  }
+  bool async = options.jit == jit::JitMode::kAuto;
+  std::shared_ptr<jit::JitKernel> kernel =
+      jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
+  if (options.jit == jit::JitMode::kOn && !kernel->WaitReady()) {
+    std::fprintf(stderr,
+                 "flexiwalker: --jit on could not produce a compiled kernel (%s); "
+                 "running interpreted\n",
+                 kernel->fallback_reason().c_str());
+  }
+  return kernel;
+}
 
 FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
                                     const FlexiWalkerOptions& options, DeviceContext& device) {
@@ -61,34 +94,16 @@ FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
     prep.preprocess_sim_ms += device.profile().SimulatedMsFor(delta);
   }
 
-  // --- Compiled step kernel (opt-in): specialize the whole step for this
-  // program + strategy and hand the source to the hash-keyed .so cache.
-  // Emitter rejects and every compile/load failure degrade silently to the
-  // interpreted kernel — paths are bit-identical either way, so a kernel
-  // that arrives mid-service can swap in without anyone noticing. ---
-  if (options.jit != jit::JitMode::kOff) {
-    jit::StepKernelSpec spec;
-    spec.strategy = options.strategy;
-    spec.use_static_tables = !prep.static_tables.empty();
-    std::string reject_reason;
-    std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
-    if (source.empty()) {
-      jit::CountFallback("unsupported_program");
-    } else {
-      bool async = options.jit == jit::JitMode::kAuto;
-      prep.jit_kernel =
-          jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
-      if (options.jit == jit::JitMode::kOn && !prep.jit_kernel->WaitReady()) {
-        std::fprintf(stderr,
-                     "flexiwalker: --jit on could not produce a compiled kernel (%s); "
-                     "running interpreted\n",
-                     prep.jit_kernel->fallback_reason().c_str());
-      }
-    }
-  }
+  prep.jit_kernel = PrepareFlexiJit(logic, options, !prep.static_tables.empty());
   return prep;
 }
 
+namespace {
+
+// The per-step mixed-kernel body (§5.2): ballot accounting, per-step
+// sampler selection through `selector`, then eRJS / warp-cooperative eRVS
+// dispatch. The selector must outlive the run (MakeFlexiWorkerKernel pins
+// it in the worker's keepalive).
 StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed) {
   return [selector, selector_seed](const WalkContext& ctx, const WalkLogic& l,
                                    const QueryState& q, KernelRng& rng) {
@@ -113,6 +128,58 @@ StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed) {
     ctx.mem().CountCollective(2);
     return ERvsJumpStep(ctx, l, q, rng);
   };
+}
+
+// Per-(run, worker) state of a FlexiWalker kernel, owned by the
+// WorkerKernel keepalive: the interpreted kernel's selector, or the compiled
+// kernel's runtime parameters, private tally, and a pin on its code. The
+// tally folds into the caller's sink when the worker's drain releases the
+// keepalive.
+struct FlexiWorkerState {
+  std::optional<SamplerSelector> selector;
+  jit::JitStepState jit_state;
+  SelectionCounters jit_counters;
+  std::shared_ptr<jit::JitKernel> pin;
+  SelectionCounters* sink = nullptr;
+
+  ~FlexiWorkerState() {
+    if (sink != nullptr) {
+      *sink += selector.has_value() ? selector->counters() : jit_counters;
+    }
+  }
+};
+
+}  // namespace
+
+WorkerKernel MakeFlexiWorkerKernel(const FlexiPreparation& prep, SelectionStrategy strategy,
+                                   uint64_t selector_seed, jit::JitStepFn jit_fn,
+                                   SelectionCounters* tally) {
+  const std::vector<AliasTable>* tables =
+      prep.static_tables.empty() ? nullptr : &prep.static_tables;
+  if (tables != nullptr && jit_fn == nullptr) {
+    // Static fast path: every step is an O(1) cached-table lookup; no
+    // per-step selection happens, so there is nothing to tally.
+    return StepKernel([tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
+                               KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
+  }
+  auto state = std::make_shared<FlexiWorkerState>();
+  state->sink = tally;
+  if (jit_fn == nullptr) {
+    state->selector.emplace(strategy, prep.params, &prep.helpers);
+    return WorkerKernel(MakeFlexiStep(&*state->selector, selector_seed), state);
+  }
+  state->jit_state.selector_seed = selector_seed;
+  state->jit_state.edge_cost_ratio = prep.params.edge_cost_ratio;
+  state->jit_state.degree_threshold = prep.params.degree_threshold;
+  state->jit_state.static_tables = tables;
+  state->jit_state.counters = &state->jit_counters;
+  state->pin = prep.jit_kernel;
+  const jit::JitStepState* st = &state->jit_state;
+  return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
+                                              const QueryState& q, KernelRng& rng) {
+                        return jit_fn(st, &ctx, &q, &rng);
+                      }),
+                      state);
 }
 
 FlexiWalkerEngine::FlexiWalkerEngine(FlexiWalkerOptions options)
@@ -141,12 +208,11 @@ WalkResult FlexiWalkerEngine::Run(const Graph& graph, const WalkLogic& logic,
   // One-time phases (compile, profile, preprocess, quantize) — the same
   // PrepareFlexiWalker the serving factory calls once per service.
   FlexiPreparation prep = PrepareFlexiWalker(graph, logic, options_, device);
-  helpers_ = std::move(prep.helpers);
   last_profiled_ratio_ = prep.params.edge_cost_ratio;
 
   // --- Main walk: the mixed kernel (§5.2) over the dynamically scheduled
   // queue (§5.3), executed on the persistent worker pool. Each worker owns
-  // a private DeviceContext and SamplerSelector so per-step selection and
+  // a private DeviceContext and kernel state so per-step selection and
   // accounting are contention-free; the scheduler merges the counters at
   // drain time, keeping the result's cost scoped to the walk phase alone
   // (profile and preprocess costs are reported separately, Table 3).
@@ -159,73 +225,23 @@ WalkResult FlexiWalkerEngine::Run(const Graph& graph, const WalkLogic& logic,
   scheduler_options.int8_weights = prep.int8_store.empty() ? nullptr : &prep.int8_store;
   WalkScheduler scheduler(scheduler_options);
 
-  WalkResult result;
-  SelectionCounters selection;
   // Resolve the compiled kernel once per Run: the whole run executes either
   // compiled or interpreted, never a mix (both produce identical paths, but
   // a stable choice keeps the run's provenance simple).
   jit::JitStepFn jit_fn = prep.jit_kernel != nullptr ? prep.jit_kernel->TryGet() : nullptr;
-  if (!prep.static_tables.empty()) {
-    // Static fast path: every step is an O(1) cached-table lookup; no
-    // per-step selection happens, so the selection counters stay zero.
-    const std::vector<AliasTable>* tables = &prep.static_tables;
-    if (jit_fn != nullptr) {
-      jit::JitStepState jit_state;
-      jit_state.static_tables = tables;
-      const jit::JitStepState* st = &jit_state;
-      result = scheduler.Run(graph, logic, starts, seed,
-                             [jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                          const QueryState& q, KernelRng& rng) {
-                               return jit_fn(st, &ctx, &q, &rng);
-                             });
-    } else {
-      result = scheduler.Run(graph, logic, starts, seed,
-                             [tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
-                                      KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
-    }
-  } else if (jit_fn != nullptr) {
-    // Compiled path: per-worker JitStepState mirrors the per-worker
-    // SamplerSelector of the interpreted path, so selection tallies stay
-    // contention-free and merge the same way.
-    uint64_t selector_seed = FlexiSelectorSeed(seed);
-    std::vector<SelectionCounters> jit_counters(scheduler.num_threads());
-    std::vector<jit::JitStepState> jit_states(scheduler.num_threads());
-    for (unsigned w = 0; w < scheduler.num_threads(); ++w) {
-      jit_states[w].selector_seed = selector_seed;
-      jit_states[w].edge_cost_ratio = prep.params.edge_cost_ratio;
-      jit_states[w].degree_threshold = prep.params.degree_threshold;
-      jit_states[w].counters = &jit_counters[w];
-    }
-    result = scheduler.RunWithWorkers(
-        graph, logic, starts, seed,
-        [&jit_states, jit_fn](unsigned worker, DeviceContext&) -> WorkerKernel {
-          const jit::JitStepState* st = &jit_states[worker];
-          return StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                         const QueryState& q, KernelRng& rng) {
-            return jit_fn(st, &ctx, &q, &rng);
-          });
-        });
-    for (const SelectionCounters& counters : jit_counters) {
-      selection += counters;
-    }
-  } else {
-    std::vector<SamplerSelector> selectors(
-        scheduler.num_threads(), SamplerSelector(options_.strategy, prep.params, &helpers_));
-    uint64_t selector_seed = FlexiSelectorSeed(seed);
-
-    result = scheduler.RunWithWorkers(
-        graph, logic, starts, seed,
-        [&selectors, selector_seed](unsigned worker, DeviceContext&) -> WorkerKernel {
-          return MakeFlexiStep(&selectors[worker], selector_seed);
-        });
-
-    for (const SamplerSelector& selector : selectors) {
-      selection += selector.counters();
-    }
+  uint64_t selector_seed = FlexiSelectorSeed(seed);
+  std::vector<SelectionCounters> tallies(scheduler.num_threads());
+  WalkResult result = scheduler.RunWithWorkers(
+      graph, logic, starts, seed, [&](unsigned worker, DeviceContext&) {
+        return MakeFlexiWorkerKernel(prep, options_.strategy, selector_seed, jit_fn,
+                                     &tallies[worker]);
+      });
+  for (const SelectionCounters& tally : tallies) {
+    result.selection += tally;
   }
   result.profile_sim_ms = prep.profile_sim_ms;
   result.preprocess_sim_ms = prep.preprocess_sim_ms;
-  result.selection = selection;
+  helpers_ = std::move(prep.helpers);
   return result;
 }
 

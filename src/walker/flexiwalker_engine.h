@@ -50,7 +50,7 @@ struct FlexiWalkerOptions {
   uint32_t wavefront = 0;
   // Compiled step kernels (src/compiler/jit.h): emit the workload's step as
   // one specialized C++ function, compile it to a dlopen'd .so cached by
-  // program hash, and run it instead of the interpreted MakeFlexiStep body.
+  // program hash, and run it instead of the interpreted mixed-kernel body.
   // Paths and cost counters are bit-identical either way (jit_test's parity
   // matrix enforces it); kAuto compiles in the background and swaps in when
   // ready, kOn blocks until the kernel is available (or falls back with a
@@ -64,9 +64,10 @@ struct FlexiWalkerOptions {
 // Everything FlexiWalker computes once per (graph, workload) before any
 // query runs: the generated helper bundle (§4.2), the calibrated cost-model
 // parameters (§5.1), the preprocessing reductions, and the optional INT8
-// store. Shared by the one-shot engine (rebuilt per Run) and the streaming
-// WalkService (built once at service construction) so the two can never
-// drift — a service's first batch reproduces an engine Run bit-for-bit.
+// store. Shared by the one-shot engine (rebuilt per Run), the streaming
+// WalkService (built once at service construction), and the out-of-core
+// runner (which fills it block by block) so they can never drift — a
+// service's first batch reproduces an engine Run bit-for-bit.
 struct FlexiPreparation {
   GeneratedHelpers helpers;
   CostModelParams params;  // params.edge_cost_ratio is the profiled/pinned ratio
@@ -95,17 +96,36 @@ FlexiPreparation PrepareFlexiWalker(const Graph& graph, const WalkLogic& logic,
 // and the serving factory can't disagree.
 inline uint64_t FlexiSelectorSeed(uint64_t seed) { return seed ^ 0x5E1EC7; }
 
-// The per-step mixed-kernel body (§5.2) shared by the one-shot engine and
-// the streaming WalkService: ballot accounting, per-step sampler selection
-// through `selector`, then eRJS / warp-cooperative eRVS dispatch. The
-// kRandom strategy's coin flips come from a per-(query, step) Philox
+// Emits the workload's step kernel and fetches it from (or starts compiling
+// it into) the process-wide kernel cache, as options.jit asks. Null for kOff
+// and for programs the emitter rejects (counted as an unsupported_program
+// fallback); with kOn, a kernel that cannot be produced prints a warning and
+// the run stays interpreted. PrepareFlexiWalker and the out-of-core runner
+// both get their kernel here.
+std::shared_ptr<jit::JitKernel> PrepareFlexiJit(const WalkLogic& logic,
+                                                const FlexiWalkerOptions& options,
+                                                bool use_static_tables);
+
+// Builds one worker's FlexiWalker kernel for one run — the factory body the
+// one-shot engine, the serving WalkService, and the out-of-core runner all
+// share. The step is the mixed kernel of §5.2: ballot accounting, per-step
+// eRJS/eRVS selection, then eRJS or warp-cooperative eRVS — compiled when
+// `jit_fn` is non-null (the caller resolves it from prep.jit_kernel), and
+// replaced by an O(1) alias lookup when prep.static_tables is non-empty.
+// The kRandom strategy's coin flips come from a per-(query, step) Philox
 // position keyed on `selector_seed`, never from worker-shared state, so
 // selection — and therefore paths — stays seed-stable under threading and
-// across service batches. Returned as a non-allocating StepKernel; the
-// selector must outlive the run it is used in (the engine preallocates
-// per-worker selectors, the serving factory pins per-batch ones through
-// WorkerKernel::state).
-StepKernel MakeFlexiStep(SamplerSelector* selector, uint64_t selector_seed);
+// across service batches.
+//
+// Per-worker state (a SamplerSelector, or a JitStepState plus a pin on the
+// compiled code) rides in the returned keepalive, so the delegate itself
+// stays a non-allocating pointer capture. When the worker's drain releases
+// it, the worker's selection tally is added to `*tally`; pass null to drop
+// it. A sink must be touched by one worker at a time — callers pass one per
+// worker index. `prep` must outlive the run.
+WorkerKernel MakeFlexiWorkerKernel(const FlexiPreparation& prep, SelectionStrategy strategy,
+                                   uint64_t selector_seed, jit::JitStepFn jit_fn,
+                                   SelectionCounters* tally);
 
 class FlexiWalkerEngine : public Engine {
  public:

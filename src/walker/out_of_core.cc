@@ -9,9 +9,8 @@
 #include <vector>
 
 #include "src/compiler/analyzer.h"
-#include "src/compiler/step_emitter.h"
-#include "src/sampling/sampler.h"
 #include "src/walker/query_queue.h"
+#include "src/walker/wavefront.h"
 #include "src/walker/worker_pool.h"
 
 namespace flexi {
@@ -26,16 +25,6 @@ struct ParkedWalk {
   uint64_t rng_offset;  // draws consumed so far from PhiloxStream(seed, query_id)
   uint32_t row;         // batch-local arena row (== local query index)
   uint32_t written;     // path nodes written after the start node
-};
-
-// One in-flight walk in a worker's wavefront, as in scheduler.cc plus the
-// arena-row index needed to re-park.
-struct OocSlot {
-  QueryState q;
-  PhiloxStream stream;
-  NodeId* path = nullptr;
-  uint32_t written = 0;
-  uint32_t row = 0;
 };
 
 }  // namespace
@@ -93,22 +82,16 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
         "' is not first-order (its weight program reads the previous node's "
         "row); out-of-core execution requires first-order walks");
   }
+  ValidateStarts(starts, store.num_nodes());
   const uint32_t length = logic.walk_length();
   assert(starts.empty() || (out.stride == length + 1 && out.rows >= starts.size()));
   WalkResult result;
   result.path_stride = length + 1;
   result.num_queries = starts.size();
 
-  // Same worker-count resolution as the in-memory tier (thread budget,
-  // clamps) so a pinned --threads behaves identically in both.
-  SchedulerOptions resolve;
-  resolve.num_threads = options.num_threads;
-  const unsigned max_workers = WalkScheduler(resolve).num_threads();
+  const unsigned max_workers = ResolveWorkerThreads(options.num_threads);
   std::vector<DeviceContext> devices(max_workers, DeviceContext(options.profile));
-
-  uint32_t width = options.wavefront == 0
-                       ? (store.TotalPayloadBytes() > kWavefrontAutoBytes ? kDefaultWavefront : 1)
-                       : std::clamp(options.wavefront, 1u, kMaxWavefront);
+  const uint32_t width = ResolveWavefront(options.wavefront, store.TotalPayloadBytes());
 
   const size_t num_blocks = store.num_blocks();
   std::vector<std::vector<ParkedWalk>> buffers(num_blocks);
@@ -142,7 +125,6 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
   // order) after the parallel section joins — order in a buffer shapes only
   // execution order, never a path.
   std::vector<std::vector<std::pair<uint32_t, ParkedWalk>>> staged(max_workers);
-  std::vector<uint64_t> finished(max_workers, 0);
   uint64_t parks = 0;
   uint64_t activations = 0;
 
@@ -165,15 +147,13 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
       DeviceContext& device = devices[w];
       WalkContext ctx{&view, &device, options.preprocessed, options.int8_weights};
       WorkerKernel kernel = make_step(w, device);  // keepalive lives to end of drain
-      const StepKernel step = kernel.step;
       std::vector<std::pair<uint32_t, ParkedWalk>>& outbox = staged[w];
 
-      // Claims the next parked walk into `slot`, reconstructing its Philox
-      // stream at the recorded offset; false once the buffer has drained.
-      auto launch = [&](OocSlot& slot) {
+      // Claims the next parked walk, reconstructing its Philox stream at
+      // the recorded offset.
+      auto launch = [&](WalkSlot& slot) {
         std::optional<QueryQueue::Query> next = queue.Next(w);
         if (!next.has_value()) {
-          slot.path = nullptr;
           return false;
         }
         const ParkedWalk& parked = work[next->id];
@@ -182,90 +162,37 @@ WalkResult RunOutOfCoreInto(const BlockStore& store, GraphCache& cache, const Wa
         slot.path = out.Row(parked.row);
         slot.written = parked.written;
         slot.row = parked.row;
-        PrefetchRowOffsets(ctx, slot.q.cur);
         return true;
       };
-
-      // Advances `slot` one step; false when the walk leaves this worker's
-      // wavefront — finished (dead end / full length) or re-parked on
-      // another block. The park decision reads q.cur *after* logic.Update:
-      // workloads may move the walker somewhere other than the sampled
-      // neighbor (PPR's teleport), and it is the post-update node whose row
-      // the next step needs resident.
-      auto advance = [&](OocSlot& slot) {
-        KernelRng rng(slot.stream, device.mem());
-        StepResult step_result = step(ctx, logic, slot.q, rng);
-        if (!step_result.ok()) {
-          ++finished[w];
-          return false;
+      // A walk may step on only while its current row is in the resident
+      // block; otherwise it parks on the block that holds the row.
+      auto in_block = [&](const WalkSlot& slot) {
+        if (slot.q.cur >= block_first && slot.q.cur < block_end) {
+          return true;
         }
-        NodeId next_node = view.Neighbor(slot.q.cur, step_result.index);
-        logic.Update(ctx, slot.q, next_node, step_result.index);
-        slot.path[++slot.written] = next_node;
-        device.mem().StoreCoalesced(1, sizeof(NodeId));
-        if (slot.written == length) {
-          ++finished[w];
-          return false;
-        }
-        if (slot.q.cur < block_first || slot.q.cur >= block_end) {
-          outbox.emplace_back(store.BlockOf(slot.q.cur),
-                              ParkedWalk{slot.q, slot.stream.offset(), slot.row, slot.written});
-          return false;
-        }
-        PrefetchRowOffsets(ctx, slot.q.cur);
-        return true;
+        outbox.emplace_back(store.BlockOf(slot.q.cur),
+                            ParkedWalk{slot.q, slot.stream.offset(), slot.row, slot.written});
+        return false;
       };
-
-      if (width == 1) {
-        OocSlot slot;
-        while (launch(slot)) {
-          while (advance(slot)) {
-          }
-        }
-        return;
-      }
-      // Wavefront passes, exactly as scheduler.cc: each live slot stages the
-      // following slot's adjacency + weight spans, then steps; a slot whose
-      // walk left the block relaunches on the next parked walk.
-      std::vector<OocSlot> slots(width);
-      size_t active = 0;
-      for (OocSlot& slot : slots) {
-        if (!launch(slot)) {
-          break;
-        }
-        ++active;
-      }
-      while (active > 0) {
-        for (uint32_t i = 0; i < width; ++i) {
-          OocSlot& slot = slots[i];
-          if (slot.path == nullptr) {
-            continue;
-          }
-          OocSlot& next_slot = slots[(i + 1) % width];
-          if (next_slot.path != nullptr) {
-            PrefetchEdgeSpans(ctx, next_slot.q.cur);
-          }
-          if (!advance(slot) && !launch(slot)) {
-            --active;
-          }
-        }
-      }
+      DrainWavefront(ctx, logic, kernel.step, width, /*cancel=*/nullptr, launch, in_block);
     };
 
     RunOnWorkers(workers, worker_body);
     cache.Release(bid);
 
-    // Merge outboxes in worker order; drain retire counts.
+    // Merge outboxes in worker order. Every walk of `work` either re-parked
+    // or retired (dead end or full length).
+    size_t parked_now = 0;
     for (unsigned w = 0; w < workers; ++w) {
       for (auto& [dest, parked] : staged[w]) {
         buffers[dest].push_back(parked);
         ++pending[dest];
-        ++parks;
       }
+      parked_now += staged[w].size();
       staged[w].clear();
-      remaining -= finished[w];
-      finished[w] = 0;
     }
+    parks += parked_now;
+    remaining -= work.size() - parked_now;
   }
 
   auto t1 = std::chrono::steady_clock::now();
@@ -345,22 +272,26 @@ WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& log
         "build O(edges) resident structures; disable them for out-of-core runs");
   }
   DeviceContext device(options.device);
+  // The engine's preparation, minus what needs the whole graph resident:
+  // the ratio is pinned instead of profiled, and preprocessing streams the
+  // blocks through the cache.
+  FlexiPreparation prep;
   Generator generator;
-  GeneratedHelpers helpers = generator.Generate(logic.program());
-  CostModelParams params;
-  params.edge_cost_ratio = *options.edge_cost_ratio;
-  params.degree_threshold = options.degree_threshold;
+  prep.helpers = generator.Generate(logic.program());
+  prep.params.edge_cost_ratio = *options.edge_cost_ratio;
+  prep.params.degree_threshold = options.degree_threshold;
 
   GraphCache cache(&store, cache_blocks);
-
-  PreprocessedData preprocessed;
-  double preprocess_sim_ms = 0.0;
-  if (helpers.valid() && store.weighted()) {
+  if (prep.helpers.valid() && store.weighted()) {
     CostCounters before = device.mem().counters();
-    preprocessed = PreprocessOutOfCore(store, cache, helpers.plan(), device);
+    prep.preprocessed = PreprocessOutOfCore(store, cache, prep.helpers.plan(), device);
     CostCounters delta = device.mem().counters() - before;
-    preprocess_sim_ms = device.profile().SimulatedMsFor(delta);
+    prep.preprocess_sim_ms = device.profile().SimulatedMsFor(delta);
   }
+  // Never the static-table variant: those tables are rejected above. The
+  // kernel only sees the per-block WalkContext each step is handed,
+  // so block residency is transparent to it.
+  prep.jit_kernel = PrepareFlexiJit(logic, options, /*use_static_tables=*/false);
 
   OutOfCoreOptions ooc;
   ooc.cache_blocks = cache_blocks;
@@ -368,76 +299,24 @@ WalkResult RunFlexiWalkerOutOfCore(const BlockStore& store, const WalkLogic& log
   ooc.wavefront = options.wavefront;
   ooc.dispense = options.dispense;
   ooc.profile = options.device;
-  ooc.preprocessed = preprocessed.empty() ? nullptr : &preprocessed;
+  ooc.preprocessed = prep.preprocessed.empty() ? nullptr : &prep.preprocessed;
 
-  // Compiled step kernel (same emit + cache the in-memory engine uses; the
-  // out-of-core driver never caches static tables, so the spec is always
-  // the dynamic variant). The kernel only sees the per-block WalkContext
-  // the driver hands every step, so block residency is transparent to it.
-  std::shared_ptr<jit::JitKernel> jit_kernel;
-  if (options.jit != jit::JitMode::kOff) {
-    jit::StepKernelSpec spec;
-    spec.strategy = options.strategy;
-    std::string reject_reason;
-    std::string source = jit::EmitStepKernelSource(logic.program(), spec, &reject_reason);
-    if (source.empty()) {
-      jit::CountFallback("unsupported_program");
-    } else {
-      bool async = options.jit == jit::JitMode::kAuto;
-      jit_kernel = jit::KernelCache::Global().GetOrCompile(source, options.jit_cache_dir, async);
-      if (options.jit == jit::JitMode::kOn) {
-        jit_kernel->WaitReady();
-      }
-    }
-  }
-  jit::JitStepFn jit_fn = jit_kernel != nullptr ? jit_kernel->TryGet() : nullptr;
-
-  // One persistent selector per worker index, exactly like the in-memory
-  // engine, so selection counters accumulate across block activations.
-  SchedulerOptions resolve;
-  resolve.num_threads = options.host_threads;
-  unsigned workers = WalkScheduler(resolve).num_threads();
-  std::vector<SamplerSelector> selectors(workers,
-                                         SamplerSelector(options.strategy, params, &helpers));
+  // One kernel choice and one tally per worker index for the whole run;
+  // each activation's worker kernels fold their selections into it.
+  jit::JitStepFn jit_fn = prep.jit_kernel != nullptr ? prep.jit_kernel->TryGet() : nullptr;
   uint64_t selector_seed = FlexiSelectorSeed(seed);
-
-  WalkResult result;
-  SelectionCounters selection;
-  if (jit_fn != nullptr) {
-    std::vector<SelectionCounters> jit_counters(workers);
-    std::vector<jit::JitStepState> jit_states(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      jit_states[w].selector_seed = selector_seed;
-      jit_states[w].edge_cost_ratio = params.edge_cost_ratio;
-      jit_states[w].degree_threshold = params.degree_threshold;
-      jit_states[w].counters = &jit_counters[w];
-    }
-    result = RunOutOfCore(
-        store, cache, logic, starts, seed,
-        [&jit_states, jit_fn](unsigned worker, DeviceContext&) -> WorkerKernel {
-          const jit::JitStepState* st = &jit_states[worker];
-          return StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                         const QueryState& q, KernelRng& rng) {
-            return jit_fn(st, &ctx, &q, &rng);
-          });
-        },
-        ooc, stats);
-    for (const SelectionCounters& counters : jit_counters) {
-      selection += counters;
-    }
-  } else {
-    result = RunOutOfCore(
-        store, cache, logic, starts, seed,
-        [&selectors, selector_seed](unsigned worker, DeviceContext&) -> WorkerKernel {
-          return MakeFlexiStep(&selectors[worker], selector_seed);
-        },
-        ooc, stats);
-    for (const SamplerSelector& selector : selectors) {
-      selection += selector.counters();
-    }
+  std::vector<SelectionCounters> tallies(ResolveWorkerThreads(options.host_threads));
+  WalkResult result = RunOutOfCore(
+      store, cache, logic, starts, seed,
+      [&](unsigned worker, DeviceContext&) {
+        return MakeFlexiWorkerKernel(prep, options.strategy, selector_seed, jit_fn,
+                                     &tallies[worker]);
+      },
+      ooc, stats);
+  for (const SelectionCounters& tally : tallies) {
+    result.selection += tally;
   }
-  result.selection = selection;
-  result.preprocess_sim_ms = preprocess_sim_ms;
+  result.preprocess_sim_ms = prep.preprocess_sim_ms;
   return result;
 }
 

@@ -7,10 +7,11 @@
 // the block holding its current node's row, and the driver repeatedly (1)
 // asks the BlockScheduler for the next block — by pending-walk count and
 // I/O cost — (2) makes it resident, and (3) runs the block's parked walks
-// to their next block boundary with the same wavefront inner loop and
-// StepKernel delegates the in-memory WalkScheduler uses. A walk whose next
-// row lies outside the resident block re-parks; one whose walk completes
-// (full length or dead end) retires.
+// to their next block boundary through DrainWavefront (wavefront.h), the
+// same loop the in-memory WalkScheduler runs, with a residency test as its
+// may-continue predicate and the block buffers as its park sink. A walk
+// whose next row lies outside the resident block re-parks; one whose walk
+// completes (full length or dead end) retires.
 //
 // Eligibility: first-order workloads only (IsFirstOrderProgram) — a step at
 // node v may read only v's row, so block residency of v is sufficient.
@@ -86,7 +87,8 @@ class BlockScheduler {
 
 // Runs every query in `starts` to completion over the partitioned graph,
 // using `cache` for residency. `logic` must be first-order
-// (IsFirstOrderProgram) — throws std::invalid_argument otherwise. The
+// (IsFirstOrderProgram) and every start a node of the store — throws
+// std::invalid_argument otherwise, before any walk launches. The
 // result's paths live in a result-owned arena exactly like
 // WalkScheduler::RunWithWorkers; RunOutOfCoreInto writes into caller-owned
 // storage under the same contract as RunWithWorkersInto (stride ==

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/sampling/sampler.h"
+#include "src/walker/wavefront.h"
 
 namespace flexi {
 namespace {
@@ -42,35 +42,13 @@ struct SchedulerMetrics {
   }
 };
 
-// One in-flight walk in a worker's wavefront: the query's state, its Philox
-// stream (consumed strictly in per-query order — interleaving slots can
-// never reorder a query's own draws), its arena row, and the number of path
-// nodes written so far. `path == nullptr` marks an idle slot.
-struct WalkSlot {
-  QueryState q;
-  PhiloxStream stream;
-  NodeId* path = nullptr;
-  uint32_t written = 0;
-};
-
 }  // namespace
 
-WalkScheduler::WalkScheduler(SchedulerOptions options) : options_(std::move(options)) {
-  unsigned requested =
-      options_.num_threads == 0 ? DefaultWorkerThreads() : options_.num_threads;
-  // A thread-local budget (RunMultiDevice's per-device share) caps even
-  // explicit requests: the budget owner decided how much of the machine this
-  // context may use. Captured here, at construction time, because Run may
-  // later execute on pool threads that carry no budget of their own.
-  unsigned budget = ScopedWorkerBudget::Current();
-  if (budget != 0) {
-    requested = std::min(requested, budget);
-  }
-  num_threads_ = std::clamp(requested, 1u, kMaxHostWorkers);
-  // 0 stays 0 — the auto width is resolved per Run against the graph's
-  // footprint (see RunWithWorkersInto); explicit widths are clamped here.
-  wavefront_ = options_.wavefront == 0 ? 0 : std::clamp(options_.wavefront, 1u, kMaxWavefront);
-}
+WalkScheduler::WalkScheduler(SchedulerOptions options)
+    : options_(std::move(options)),
+      // Resolved at construction time, because Run may later execute on
+      // pool threads that carry no ScopedWorkerBudget of their own.
+      num_threads_(ResolveWorkerThreads(options_.num_threads)) {}
 
 WalkResult WalkScheduler::Run(const Graph& graph, const WalkLogic& logic,
                               std::span<const NodeId> starts, uint64_t seed,
@@ -104,67 +82,29 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
   result.path_stride = length + 1;
   result.num_queries = starts.size();
 
+  ValidateStarts(starts, graph.num_nodes());
+
   // Never occupy more workers than there are queries; tiny batches run inline.
   unsigned workers = static_cast<unsigned>(
       std::clamp<size_t>(starts.size(), 1, num_threads_));
 
   QueryQueue queue(starts, workers, options_.dispense);
   std::vector<DeviceContext> devices(workers, DeviceContext(options_.profile));
+  const uint32_t width = ResolveWavefront(options_.wavefront, graph.MemoryFootprintBytes());
 
-  // One worker: drain the queue through a wavefront of up to W in-flight
-  // walks, advancing every live slot one step per pass. Every write a
+  // One worker: drain the queue through DrainWavefront. Every write a
   // worker makes — path rows, its private DeviceContext — is keyed by the
   // query ids it drew or owned outright, so workers never touch the same
-  // memory; the pool's job-completion handshake (or the joins of
-  // spawn-per-run dispatch) publishes everything to this thread.
-  //
-  // Auto width: wavefronts pay a small staging cost per step and win it
-  // back by overlapping CSR row misses — which only exist when the graph
-  // outgrows the cache. Below the threshold the default is walk-at-a-time;
-  // an explicit SchedulerOptions::wavefront is always honored (the parity
-  // tests and benches sweep widths on small graphs).
-  uint32_t width = wavefront_;
-  if (width == 0) {
-    width = graph.MemoryFootprintBytes() > kWavefrontAutoBytes ? kDefaultWavefront : 1;
-  }
+  // memory; the pool's job-completion handshake publishes everything to
+  // this thread.
   auto worker_body = [&](unsigned w) {
     DeviceContext& device = devices[w];
     WalkContext ctx{&graph, &device, options_.preprocessed, options_.int8_weights};
     WorkerKernel kernel = make_step(w, device);  // keepalive lives to end of drain
-    const StepKernel step = kernel.step;
 
-    // Cooperative cancellation check, evaluated at pass/claim boundaries
-    // only (see SchedulerOptions::cancel) — one relaxed load when armed,
-    // constant-false when not. Never consulted mid-walk between draws, so a
-    // query either runs its steps exactly as an uncancelled run would or is
-    // never launched.
-    const std::atomic<bool>* cancel = options_.cancel;
-    auto cancelled = [cancel] {
-      return cancel != nullptr && cancel->load(std::memory_order_relaxed);
-    };
-
-    // Worker-local telemetry, folded into the registry exactly once per
-    // worker body (RAII so every drain-loop exit path flushes). Purely
-    // observational: no effect on dispensation order or Philox draws.
-    struct LocalCounters {
-      uint64_t steps = 0;
-      uint64_t passes = 0;
-      ~LocalCounters() {
-        if (steps > 0 || passes > 0) {
-          SchedulerMetrics& metrics = SchedulerMetrics::Get();
-          metrics.steps.Add(steps);
-          metrics.wavefront_passes.Add(passes);
-        }
-      }
-    } local;
-
-    // Claims the next query into `slot`; false once the queue has drained.
-    // Stages the new walk's row offsets so the pass that first samples it
-    // finds them cached.
     auto launch = [&](WalkSlot& slot) {
       std::optional<QueryQueue::Query> next = queue.Next(w);
       if (!next.has_value()) {
-        slot.path = nullptr;
         return false;
       }
       slot.q = QueryState{};
@@ -180,98 +120,17 @@ WalkResult WalkScheduler::RunWithWorkersInto(const Graph& graph, const WalkLogic
       slot.path = out.Row(next->id);
       slot.path[0] = slot.q.cur;
       slot.written = 0;
-      PrefetchRowOffsets(ctx, slot.q.cur);
       return true;
     };
-
-    // Advances `slot` one step; false when the walk finished (dead end or
-    // full length — padding after a dead end is already in the row). On a
-    // live continuation, stages the next node's row offsets: by the time
-    // the next pass returns to this slot, the offsets are cached and the
-    // pass-head span prefetch can compute the row's addresses cheaply.
-    auto advance = [&](WalkSlot& slot) {
-      KernelRng rng(slot.stream, device.mem());
-      StepResult step_result = step(ctx, logic, slot.q, rng);
-      if (!step_result.ok()) {
-        return false;
-      }
-      NodeId next_node = graph.Neighbor(slot.q.cur, step_result.index);
-      logic.Update(ctx, slot.q, next_node, step_result.index);
-      slot.path[++slot.written] = next_node;
-      ++local.steps;
-      device.mem().StoreCoalesced(1, sizeof(NodeId));
-      if (slot.written == length) {
-        return false;
-      }
-      PrefetchRowOffsets(ctx, next_node);
-      return true;
-    };
-
-    if (length == 0) {
-      // Degenerate walks: every query is just its start node.
-      WalkSlot slot;
-      while (!cancelled() && launch(slot)) {
-      }
-      return;
-    }
-    if (width == 1) {
-      // Walk-at-a-time: one slot run to completion per claim. With a single
-      // walk in flight there is no other slot's work to hide prefetch
-      // latency behind, so no span staging happens here. The cancellation
-      // boundary is the claim: a launched walk always runs to completion.
-      WalkSlot slot;
-      while (!cancelled() && launch(slot)) {
-        while (advance(slot)) {
-        }
-      }
-      return;
-    }
-
-    std::vector<WalkSlot> slots(width);
-    size_t active = 0;
-    for (WalkSlot& slot : slots) {
-      if (!launch(slot)) {
-        break;
-      }
-      ++active;
-    }
-    while (active > 0) {
-      if (cancelled()) {
-        // Abandon mid-flight walks where they stand: their rows are never
-        // delivered (the caller set the token because every requester gave
-        // up), and no other query's draws depend on theirs.
-        break;
-      }
-      ++local.passes;
-      // One pass: each live slot stages the following slot's adjacency +
-      // weight spans (whose row offsets the previous pass prefetched) and
-      // then takes its own step — so every span prefetch has one full
-      // slot-step of sampling work to hide behind, and the wrap-around
-      // stages slot 0 for the next pass. A finished slot immediately
-      // relaunches on the next dispensed query so the wavefront stays full
-      // until the queue drains.
-      for (uint32_t i = 0; i < width; ++i) {
-        WalkSlot& slot = slots[i];
-        if (slot.path == nullptr) {
-          continue;
-        }
-        WalkSlot& staged = slots[(i + 1) % width];
-        if (staged.path != nullptr) {
-          PrefetchEdgeSpans(ctx, staged.q.cur);
-        }
-        if (!advance(slot) && !launch(slot)) {
-          --active;
-        }
-      }
-    }
+    WavefrontTally tally = DrainWavefront(ctx, logic, kernel.step, width, options_.cancel,
+                                          launch, [](const WalkSlot&) { return true; });
+    SchedulerMetrics& metrics = SchedulerMetrics::Get();
+    metrics.steps.Add(tally.steps);
+    metrics.wavefront_passes.Add(tally.passes);
   };
 
   auto t0 = std::chrono::steady_clock::now();
-  if (options_.dispatch == WorkerDispatch::kSpawnPerRun) {
-    RunOnFreshThreads(workers, worker_body);
-  } else {
-    RunOnWorkers(workers, worker_body);
-  }
+  RunOnWorkers(workers, worker_body);
   auto t1 = std::chrono::steady_clock::now();
 
   if (obs::MetricsEnabled()) {

@@ -14,8 +14,9 @@
 // of W in-flight walks one step per pass, staging the next access's CSR
 // cache lines with prefetch hints while the current slot samples — the CPU
 // recovery of the memory-level parallelism the paper's warp-lockstep GPU
-// kernels get from their lanes (docs/ARCHITECTURE.md, "The hot loop"). Step
-// kernels are invoked through StepKernel, a non-allocating trivially
+// kernels get from their lanes (docs/ARCHITECTURE.md, "The hot loop"). That
+// loop is DrainWavefront (wavefront.h), shared with the out-of-core tier.
+// Step kernels are invoked through StepKernel, a non-allocating trivially
 // copyable delegate, so no std::function sits on the per-step path.
 //
 // Seed-stable parallelism: every query's randomness comes from its own
@@ -23,7 +24,7 @@
 // only its own path row. Which worker runs a query — and how its steps
 // interleave with other wavefront slots — therefore cannot affect its walk,
 // so paths are bit-identical for 1, 2, or N worker threads, any wavefront
-// width, either dispatch mode, and across batch boundaries when the
+// width, any dispensation mode, and across batch boundaries when the
 // WalkService assigns global query ids. scheduler_test.cc and
 // walk_service_test.cc enforce this; docs/ARCHITECTURE.md spells out the
 // full contract with examples.
@@ -120,15 +121,6 @@ struct WorkerKernel {
 // per-worker SamplerSelector).
 using WorkerStepFactory = std::function<WorkerKernel(unsigned worker, DeviceContext& device)>;
 
-// How a Run's worker bodies reach real threads. The persistent pool is the
-// default everywhere; spawn-per-run survives as the A/B reference that
-// bench_scheduler_scaling measures the pool against. Paths are bit-identical
-// across modes — dispatch moves threads, never randomness.
-enum class WorkerDispatch {
-  kPersistentPool,  // park-and-wake workers from WorkerPool::Global()
-  kSpawnPerRun,     // fresh std::threads, joined before Run returns
-};
-
 // Wavefront width bounds. The default is wide enough to hide one DRAM miss
 // behind the other slots' sampling work on current cores; the cap keeps a
 // worker's staged cache lines from evicting each other (W rows x up to
@@ -146,7 +138,6 @@ inline constexpr size_t kWavefrontAutoBytes = size_t{32} << 20;
 struct SchedulerOptions {
   DeviceProfile profile = DeviceProfile::SimulatedGpu();
   unsigned num_threads = 0;  // 0 => DefaultWorkerThreads()
-  WorkerDispatch dispatch = WorkerDispatch::kPersistentPool;
   // Global id of the batch's first query. One-shot engine Runs leave this 0;
   // the WalkService sets it to its monotonic submission cursor so a query's
   // Philox subsequence — (seed, query_id_offset + local id) — is unique
@@ -186,13 +177,12 @@ class WalkScheduler {
   explicit WalkScheduler(SchedulerOptions options = {});
 
   unsigned num_threads() const { return num_threads_; }
-  // Configured wavefront width; 0 = auto (resolved per Run against the
-  // graph's footprint).
-  uint32_t wavefront() const { return wavefront_; }
   const DeviceProfile& profile() const { return options_.profile; }
 
   // Runs every query in `starts` to completion with one step kernel shared
-  // by all workers (the single-kernel engines).
+  // by all workers (the single-kernel engines). Every Run form throws
+  // std::invalid_argument, before any walk launches, when a start node is
+  // not in the graph.
   WalkResult Run(const Graph& graph, const WalkLogic& logic,
                  std::span<const NodeId> starts, uint64_t seed,
                  StepKernel step) const;
@@ -218,7 +208,6 @@ class WalkScheduler {
  private:
   SchedulerOptions options_;
   unsigned num_threads_;
-  uint32_t wavefront_;
 };
 
 }  // namespace flexi

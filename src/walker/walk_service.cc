@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/sampling/alias.h"
-
 namespace flexi {
 
 WalkService::WalkService(const Graph& graph, const WalkLogic& logic, Options options,
@@ -18,7 +16,7 @@ WalkService::WalkService(const Graph& graph, const WalkLogic& logic, Options opt
   // Resolve the worker count once, on the constructing thread, so a
   // ScopedWorkerBudget active here sticks for the service's lifetime and the
   // dispatcher thread (which carries no budget) can't widen it later.
-  num_threads_ = WalkScheduler(options_.scheduler).num_threads();
+  num_threads_ = ResolveWorkerThreads(options_.scheduler.num_threads);
   options_.scheduler.num_threads = num_threads_;
   // One dispatcher per pipeline slot: each claims the oldest queued batch,
   // so up to pipeline_depth batches run on the pool at once. Depth shares
@@ -96,14 +94,22 @@ void WalkService::ServeLoop() {
     batch_options.cancel = pending.cancel.get();
     WalkScheduler scheduler(batch_options);
     BatchResult result;
-    if (pending.out.empty()) {
-      result.walk = scheduler.RunWithWorkers(graph_, logic_, pending.batch.starts,
-                                             options_.seed, make_step_);
-    } else {
-      // Zero-copy path: rows land in the submitter's arena; walk.paths
-      // stays empty on purpose.
-      result.walk = scheduler.RunWithWorkersInto(graph_, logic_, pending.batch.starts,
-                                                 options_.seed, make_step_, pending.out);
+    try {
+      if (pending.out.empty()) {
+        result.walk = scheduler.RunWithWorkers(graph_, logic_, pending.batch.starts,
+                                               options_.seed, make_step_);
+      } else {
+        // Zero-copy path: rows land in the submitter's arena; walk.paths
+        // stays empty on purpose.
+        result.walk = scheduler.RunWithWorkersInto(graph_, logic_, pending.batch.starts,
+                                                   options_.seed, make_step_, pending.out);
+      }
+    } catch (...) {
+      // A rejected batch (e.g. a start node outside the graph) fails its
+      // own future; escaping this dispatcher thread would be
+      // std::terminate.
+      pending.promise.set_exception(std::current_exception());
+      continue;
     }
     result.first_query_id = pending.first_query_id;
     result.batch_index = pending.batch_index;
@@ -134,36 +140,15 @@ uint64_t WalkService::queries_submitted() const {
   return next_query_id_;
 }
 
-namespace {
-
-// Everything FlexiWalker prepares once per (graph, workload) and reuses
-// across every served batch. Owned by the service via its kernel_state
-// handle; the step factory captures a raw pointer into it.
-struct FlexiServingState {
-  FlexiPreparation prep;
-};
-
-// Per-(batch, worker) state of a compiled step kernel: the runtime
-// parameters the .so reads, a private counter sink (pipelined batches would
-// otherwise race on shares), and a pin on the kernel so the dlopen'd code
-// outlives every in-flight step. Rides in the WorkerKernel keepalive.
-struct JitWorkerState {
-  jit::JitStepState state;
-  SelectionCounters counters;
-  std::shared_ptr<jit::JitKernel> pin;
-};
-
-}  // namespace
-
 std::unique_ptr<WalkService> MakeFlexiWalkerService(const Graph& graph, const WalkLogic& logic,
                                                     FlexiWalkerOptions options, uint64_t seed,
                                                     unsigned pipeline_depth) {
-  auto state = std::make_shared<FlexiServingState>();
   DeviceContext device(options.device);
-
   // The engine's one-time phases — the same PrepareFlexiWalker call
   // FlexiWalkerEngine::Run makes, so a served batch reproduces the engine.
-  state->prep = PrepareFlexiWalker(graph, logic, options, device);
+  // Owned by the service's kernel_state handle and reused by every batch;
+  // the step factory captures a raw pointer into it.
+  auto prep = std::make_shared<FlexiPreparation>(PrepareFlexiWalker(graph, logic, options, device));
 
   WalkService::Options service_options;
   service_options.seed = seed;
@@ -173,63 +158,27 @@ std::unique_ptr<WalkService> MakeFlexiWalkerService(const Graph& graph, const Wa
   service_options.scheduler.dispense = options.dispense;
   service_options.scheduler.wavefront = options.wavefront;
   service_options.scheduler.preprocessed =
-      state->prep.preprocessed.empty() ? nullptr : &state->prep.preprocessed;
-  service_options.scheduler.int8_weights =
-      state->prep.int8_store.empty() ? nullptr : &state->prep.int8_store;
+      prep->preprocessed.empty() ? nullptr : &prep->preprocessed;
+  service_options.scheduler.int8_weights = prep->int8_store.empty() ? nullptr : &prep->int8_store;
 
   uint64_t selector_seed = FlexiSelectorSeed(seed);
-  FlexiServingState* raw = state.get();
-  // The factory runs once per (batch, worker). Selectors are created per
-  // call — not preallocated per worker index — because pipelined batches
-  // execute concurrently and would otherwise race on a shared selector's
-  // counters. Selection behavior is a pure function of (strategy, params,
-  // helpers, selector_seed), so per-batch selectors cannot change paths.
-  // The selector's ownership rides in the WorkerKernel keepalive — the
-  // worker's drain loop pins it — so the per-step delegate stays a
-  // non-allocating pointer capture.
-  // A compiled kernel finishing mid-service swaps in at the next batch: the
-  // factory polls TryGet() per call, and compiled vs interpreted steps are
-  // bit-identical, so the swap is invisible to clients.
+  const FlexiPreparation* raw = prep.get();
+  // The factory runs once per (batch, worker) and builds fresh per-worker
+  // state each time, because pipelined batches execute concurrently and
+  // would otherwise race on shared selector counters. Selection is a pure
+  // function of (strategy, params, helpers, selector_seed), so per-batch
+  // state cannot change paths; the service reports no selection tallies, so
+  // it passes no sink. A compiled kernel finishing mid-service swaps in at
+  // the next batch: the factory polls TryGet() per call, and compiled vs
+  // interpreted steps are bit-identical, so the swap is invisible to
+  // clients.
   WorkerStepFactory factory = [raw, selector_seed, strategy = options.strategy](
                                   unsigned, DeviceContext&) -> WorkerKernel {
-    jit::JitStepFn jit_fn =
-        raw->prep.jit_kernel != nullptr ? raw->prep.jit_kernel->TryGet() : nullptr;
-    if (!raw->prep.static_tables.empty()) {
-      const std::vector<AliasTable>* tables = &raw->prep.static_tables;
-      if (jit_fn != nullptr) {
-        auto jit_state = std::make_shared<JitWorkerState>();
-        jit_state->state.static_tables = tables;
-        jit_state->pin = raw->prep.jit_kernel;
-        const jit::JitStepState* st = &jit_state->state;
-        return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                                    const QueryState& q, KernelRng& rng) {
-                              return jit_fn(st, &ctx, &q, &rng);
-                            }),
-                            jit_state);
-      }
-      return StepKernel([tables](const WalkContext& ctx, const WalkLogic&, const QueryState& q,
-                                 KernelRng& rng) { return CachedAliasStep(ctx, *tables, q, rng); });
-    }
-    if (jit_fn != nullptr) {
-      auto jit_state = std::make_shared<JitWorkerState>();
-      jit_state->state.selector_seed = selector_seed;
-      jit_state->state.edge_cost_ratio = raw->prep.params.edge_cost_ratio;
-      jit_state->state.degree_threshold = raw->prep.params.degree_threshold;
-      jit_state->state.counters = &jit_state->counters;
-      jit_state->pin = raw->prep.jit_kernel;
-      const jit::JitStepState* st = &jit_state->state;
-      return WorkerKernel(StepKernel([jit_fn, st](const WalkContext& ctx, const WalkLogic&,
-                                                  const QueryState& q, KernelRng& rng) {
-                            return jit_fn(st, &ctx, &q, &rng);
-                          }),
-                          jit_state);
-    }
-    auto selector = std::make_shared<SamplerSelector>(strategy, raw->prep.params,
-                                                      &raw->prep.helpers);
-    return WorkerKernel(MakeFlexiStep(selector.get(), selector_seed), selector);
+    jit::JitStepFn jit_fn = raw->jit_kernel != nullptr ? raw->jit_kernel->TryGet() : nullptr;
+    return MakeFlexiWorkerKernel(*raw, strategy, selector_seed, jit_fn, /*tally=*/nullptr);
   };
   return std::make_unique<WalkService>(graph, logic, std::move(service_options),
-                                       std::move(factory), std::move(state));
+                                       std::move(factory), std::move(prep));
 }
 
 }  // namespace flexi

@@ -80,7 +80,8 @@ class WalkService {
   // Enqueues the batch and returns immediately. Batches start in submission
   // order; up to `pipeline_depth` of them execute concurrently, each fanning
   // out over the worker pool. After Shutdown the returned future holds a
-  // std::runtime_error.
+  // std::runtime_error; a batch with a start node outside the graph
+  // resolves to std::invalid_argument without affecting other batches.
   std::future<BatchResult> Submit(WalkBatch batch);
 
   // As Submit, but the batch's path rows are written straight into `out` —

@@ -55,6 +55,14 @@ void SetDefaultWorkerThreads(unsigned threads) {
   g_default_threads.store(threads, std::memory_order_relaxed);
 }
 
+unsigned ResolveWorkerThreads(unsigned requested) {
+  unsigned value = requested == 0 ? DefaultWorkerThreads() : requested;
+  if (t_worker_budget != 0) {
+    value = std::min(value, t_worker_budget);
+  }
+  return std::clamp(value, 1u, kMaxHostWorkers);
+}
+
 ScopedWorkerBudget::ScopedWorkerBudget(unsigned budget) : previous_(t_worker_budget) {
   unsigned next = budget == 0 ? previous_ : budget;
   if (previous_ != 0 && next != 0) {
@@ -219,22 +227,6 @@ WorkerPool& WorkerPool::Global() {
 void RunOnWorkers(unsigned workers, const std::function<void(unsigned)>& body) {
   workers = std::clamp(workers, 1u, kMaxHostWorkers);
   WorkerPool::Global().Run(workers, body);
-}
-
-void RunOnFreshThreads(unsigned workers, const std::function<void(unsigned)>& body) {
-  workers = std::clamp(workers, 1u, kMaxHostWorkers);
-  if (workers == 1) {
-    body(0);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back(body, w);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
 }
 
 void ParallelForRanges(unsigned threads, size_t n,

@@ -33,6 +33,13 @@ namespace flexi {
 unsigned DefaultWorkerThreads();
 void SetDefaultWorkerThreads(unsigned threads);  // 0 restores the hardware default
 
+// The worker count a walk run uses for a `requested` thread count (0 =>
+// DefaultWorkerThreads()). The calling thread's ScopedWorkerBudget caps even
+// an explicit request — the budget owner decided how much of the machine
+// this context may use — and the result lies in [1, kMaxHostWorkers]. Both
+// walk tiers resolve here, so a pinned --threads behaves identically in each.
+unsigned ResolveWorkerThreads(unsigned requested);
+
 // Hard ceiling on host workers per parallel region. Oversubscription past a
 // few times the core count only adds scheduling noise, and an unchecked
 // request (e.g. a negative CLI value cast to unsigned) must not turn into
@@ -118,11 +125,6 @@ class WorkerPool {
 // runner, and the multi-device fan-out. `workers` is clamped to
 // [1, kMaxHostWorkers].
 void RunOnWorkers(unsigned workers, const std::function<void(unsigned)>& body);
-
-// The pre-pool dispatch: spawns `workers` fresh std::threads and joins them.
-// Kept for the spawn-vs-pool comparison in bench_scheduler_scaling and as
-// the reference semantics the pool must match (WorkerDispatch::kSpawnPerRun).
-void RunOnFreshThreads(unsigned workers, const std::function<void(unsigned)>& body);
 
 // Shards [0, n) into contiguous ranges, one per worker, and runs `body` on
 // the global pool. For preprocessing/profiling/quantization kernels whose

@@ -1,7 +1,8 @@
 // Out-of-core execution tier tests: block-store round-trips, GraphCache
 // pin/evict semantics, and the determinism contract — block-cached walks
 // are bit-identical to the in-memory engine across every cache size, thread
-// count, and wavefront width (out_of_core.h).
+// count, wavefront width, and JIT setting (out_of_core.h), and out-of-range
+// starts are rejected.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -152,9 +153,10 @@ TEST(GraphCache, PinsEvictsAndCounts) {
 
 // ------------------------------------------------- out-of-core execution --
 
-// The acceptance matrix: out-of-core paths bit-identical to the in-memory
-// engine for every cache budget (thrashing single block through
-// all-resident), thread count, and wavefront width.
+// The acceptance matrix: out-of-core paths and eRJS/eRVS selection tallies
+// bit-identical to the in-memory engine for every cache budget (thrashing
+// single block through all-resident), thread count, wavefront width, and
+// interpreted or compiled step kernel.
 TEST(OutOfCore, MatchesInMemoryAcrossCacheThreadsAndWavefront) {
   Graph g = TestGraph();
   const std::string path = BlockFilePath("parity");
@@ -166,21 +168,33 @@ TEST(OutOfCore, MatchesInMemoryAcrossCacheThreadsAndWavefront) {
 
   FlexiWalkerOptions base;
   base.edge_cost_ratio = 4.0;  // profiling needs the full graph: pin it
+  base.jit_cache_dir = "/tmp/flexi_outofcore_test_jit";
   WalkResult reference = FlexiWalkerEngine(base).Run(g, walk, starts, uint64_t{4242});
+  ASSERT_GT(reference.selection.chose_rjs + reference.selection.chose_rvs, 0u);
 
-  for (uint32_t cache_blocks : {1u, 2u, static_cast<uint32_t>(blocks)}) {
-    for (unsigned threads : {1u, 2u, 8u}) {
-      for (uint32_t wavefront : {1u, 8u}) {
-        FlexiWalkerOptions options = base;
-        options.host_threads = threads;
-        options.wavefront = wavefront;
-        OutOfCoreStats stats;
-        WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, options, cache_blocks, starts,
-                                                 uint64_t{4242}, &stats);
-        ASSERT_EQ(ooc.paths, reference.paths)
-            << "cache=" << cache_blocks << " threads=" << threads
-            << " wavefront=" << wavefront;
-        EXPECT_GE(stats.block_loads, 1u);
+  FlexiWalkerOptions compiled = base;
+  compiled.jit = jit::JitMode::kOn;
+  ASSERT_NE(PrepareFlexiJit(walk, compiled, false)->TryGet(), nullptr)
+      << "the jit=on runs below must run the compiled kernel";
+
+  for (jit::JitMode jit : {jit::JitMode::kOff, jit::JitMode::kOn}) {
+    for (uint32_t cache_blocks : {1u, 2u, static_cast<uint32_t>(blocks)}) {
+      for (unsigned threads : {1u, 2u, 8u}) {
+        for (uint32_t wavefront : {1u, 8u}) {
+          FlexiWalkerOptions options = base;
+          options.jit = jit;
+          options.host_threads = threads;
+          options.wavefront = wavefront;
+          OutOfCoreStats stats;
+          WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, options, cache_blocks, starts,
+                                                   uint64_t{4242}, &stats);
+          ASSERT_EQ(ooc.paths, reference.paths)
+              << "cache=" << cache_blocks << " threads=" << threads
+              << " wavefront=" << wavefront << " jit=" << static_cast<int>(jit);
+          EXPECT_EQ(ooc.selection.chose_rjs, reference.selection.chose_rjs);
+          EXPECT_EQ(ooc.selection.chose_rvs, reference.selection.chose_rvs);
+          EXPECT_GE(stats.block_loads, 1u);
+        }
       }
     }
   }
@@ -248,6 +262,20 @@ TEST(OutOfCore, ResidentOnlyOptionsAreRejected) {
   cached.edge_cost_ratio = 4.0;
   cached.cache_static_tables = true;  // O(edges) resident alias tables
   EXPECT_THROW(RunFlexiWalkerOutOfCore(store, walk, cached, 2, starts, 1),
+               std::invalid_argument);
+  std::remove(path.c_str());
+}
+
+TEST(OutOfCore, OutOfRangeStartIsRejectedBeforeAnyWalk) {
+  Graph g = TestGraph(200, 4.0, 43);
+  const std::string path = BlockFilePath("range");
+  PartitionToBlockFile(g, path, 2048);
+  BlockStore store = BlockStore::Open(path);
+  DeepWalk walk(8);
+  FlexiWalkerOptions options;
+  options.edge_cost_ratio = 4.0;
+  std::vector<NodeId> starts = {0, g.num_nodes()};
+  EXPECT_THROW(RunFlexiWalkerOutOfCore(store, walk, options, 2, starts, 1),
                std::invalid_argument);
   std::remove(path.c_str());
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -314,6 +315,22 @@ TEST(WalkScheduler, EmptyStartSetYieldsEmptyResult) {
   WalkResult result = RunWithThreads(graph, walk, {}, 8);
   EXPECT_EQ(result.num_queries, 0u);
   EXPECT_TRUE(result.paths.empty());
+}
+
+TEST(WalkScheduler, OutOfRangeStartIsRejectedBeforeAnyWalk) {
+  Graph graph = TestGraph();
+  Node2VecWalk walk(2.0, 0.5, 8);
+  std::vector<NodeId> starts = {0, 1, graph.num_nodes()};
+  for (uint32_t wavefront : {1u, 8u}) {
+    SchedulerOptions options;
+    options.wavefront = wavefront;
+    EXPECT_THROW(WalkScheduler(options).Run(graph, walk, starts, 1234, ItsStep()),
+                 std::invalid_argument)
+        << "wavefront=" << wavefront;
+  }
+  FlexiWalkerOptions flexi;
+  flexi.edge_cost_ratio = 4.0;
+  EXPECT_THROW(FlexiWalkerEngine(flexi).Run(graph, walk, starts, 1234), std::invalid_argument);
 }
 
 TEST(WalkScheduler, MoreWorkersThanQueries) {

@@ -199,6 +199,17 @@ TEST(WalkService, SubmitAfterShutdownFails) {
   EXPECT_THROW(future.get(), std::runtime_error);
 }
 
+TEST(WalkService, OutOfRangeStartFailsOnlyItsOwnBatch) {
+  Graph graph = TestGraph();
+  Node2VecWalk walk(2.0, 0.5, 4);
+  WalkService service(graph, walk, ItsOptions(1), ItsStep());
+  std::future<BatchResult> bad = service.Submit({{0, graph.num_nodes()}});
+  EXPECT_THROW(bad.get(), std::invalid_argument);
+  // The dispatcher survives the rejected batch and serves the next one.
+  BatchResult good = service.Submit({Range(0, 4)}).get();
+  EXPECT_EQ(good.walk.num_queries, 4u);
+}
+
 TEST(WalkService, EmptyBatchCompletes) {
   Graph graph = TestGraph();
   Node2VecWalk walk(2.0, 0.5, 4);

@@ -11,10 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/graph/generators.h"
-#include "src/sampling/inverse_transform.h"
 #include "src/walker/scheduler.h"
-#include "src/walks/node2vec.h"
 
 namespace flexi {
 namespace {
@@ -151,23 +148,6 @@ TEST(ScopedWorkerBudgetScope, CapsSchedulerResolution) {
   SchedulerOptions explicit_request;
   explicit_request.num_threads = 64;  // the budget owner still wins
   EXPECT_EQ(WalkScheduler(explicit_request).num_threads(), 3u);
-}
-
-TEST(SchedulerDispatch, PoolAndSpawnPerRunProduceIdenticalPaths) {
-  Graph graph = GenerateErdosRenyi(256, 8.0, 71);
-  AssignWeights(graph, WeightDistribution::kUniform, 0.0, 72);
-  Node2VecWalk walk(2.0, 0.5, 16);
-  auto starts = AllNodesAsStarts(graph);
-  StepKernel step = [](const WalkContext& ctx, const WalkLogic& l, const QueryState& q,
-                   KernelRng& rng) { return InverseTransformStep(ctx, l, q, rng); };
-  SchedulerOptions pool_options;
-  pool_options.num_threads = 8;
-  SchedulerOptions spawn_options = pool_options;
-  spawn_options.dispatch = WorkerDispatch::kSpawnPerRun;
-  WalkResult pooled = WalkScheduler(pool_options).Run(graph, walk, starts, 1234, step);
-  WalkResult spawned = WalkScheduler(spawn_options).Run(graph, walk, starts, 1234, step);
-  EXPECT_EQ(pooled.paths, spawned.paths);
-  EXPECT_EQ(pooled.cost.rng_draws, spawned.cost.rng_draws);
 }
 
 TEST(GlobalPool, RunOnWorkersReusesGlobalThreads) {
