@@ -46,56 +46,33 @@ BatchCoalescer::BatchCoalescer(WalkService& service, Options options)
 
 BatchCoalescer::~BatchCoalescer() { Shutdown(); }
 
-bool BatchCoalescer::Enqueue(std::vector<NodeId> starts, DoneFn done, PlaceFn place,
-                             Deadline deadline) {
-  return EnqueueLocked(starts, done, place, deadline, /*allow_block=*/true) ==
-         AdmitStatus::kAdmitted;
-}
-
-BatchCoalescer::AdmitStatus BatchCoalescer::TryEnqueue(std::vector<NodeId>& starts, DoneFn& done,
-                                                       PlaceFn& place, Deadline& deadline) {
-  return EnqueueLocked(starts, done, place, deadline, /*allow_block=*/false);
-}
-
 size_t BatchCoalescer::outstanding_queries() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pending_queries_ + inflight_queries_;
 }
 
-BatchCoalescer::AdmitStatus BatchCoalescer::EnqueueLocked(std::vector<NodeId>& starts, DoneFn& done,
-                                                          PlaceFn& place, Deadline& deadline,
-                                                          bool allow_block) {
+BatchCoalescer::AdmitStatus BatchCoalescer::TryEnqueue(std::vector<NodeId>& starts, DoneFn& done,
+                                                       PlaceFn& place, Deadline& deadline) {
   size_t queries = starts.size();
-  std::unique_lock<std::mutex> lock(mutex_);
-  // Admission control. The idle special case (outstanding == 0) admits
-  // requests larger than the whole bound — otherwise they could never run.
-  auto has_space = [this, queries] {
-    size_t outstanding = pending_queries_ + inflight_queries_;
-    return outstanding == 0 || outstanding + queries <= options_.max_outstanding_queries;
-  };
+  std::lock_guard<std::mutex> lock(mutex_);
   if (shutdown_) {
     requests_rejected_.fetch_add(1, std::memory_order_relaxed);
     m_rejected_->Add(1);
     return AdmitStatus::kRejected;
   }
-  if (!has_space()) {
+  // Admission control. The idle special case (outstanding == 0) admits
+  // requests larger than the whole bound — otherwise they could never run.
+  size_t outstanding = pending_queries_ + inflight_queries_;
+  if (outstanding != 0 && outstanding + queries > options_.max_outstanding_queries) {
     if (options_.overflow == OverflowPolicy::kReject) {
       requests_rejected_.fetch_add(1, std::memory_order_relaxed);
       m_rejected_->Add(1);
       return AdmitStatus::kRejected;
     }
-    if (!allow_block) {
-      // Not a rejection: nothing was dropped, the caller will re-present
-      // the same request after a batch completes frees space.
-      m_would_block_->Add(1);
-      return AdmitStatus::kWouldBlock;
-    }
-    cv_space_.wait(lock, [&] { return shutdown_ || has_space(); });
-    if (shutdown_) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-      m_rejected_->Add(1);
-      return AdmitStatus::kRejected;
-    }
+    // Not a rejection: nothing was dropped, the caller will re-present
+    // the same request after a batch completion frees space.
+    m_would_block_->Add(1);
+    return AdmitStatus::kWouldBlock;
   }
   auto now = std::chrono::steady_clock::now();
   if (options_.adaptive_window) {
@@ -211,7 +188,7 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
 
   // Build and submit the batch outside the lock: concatenating starts and
   // prefilling a potentially multi-megabyte arena must not stall every
-  // concurrent Enqueue. The flusher is the only submitter and this
+  // concurrent TryEnqueue. The flusher is the only submitter and this
   // function is only ever entered from its loop, so dropping the lock
   // cannot reorder submissions — the (arrival order -> global id) mapping
   // is pinned by the single-threaded flush order itself.
@@ -219,7 +196,6 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
   if (!expired.empty()) {
     m_expired_flush_->Add(expired.size());
     m_outstanding_->Set(static_cast<int64_t>(outstanding_queries()));
-    cv_space_.notify_all();
     for (PendingRequest& request : expired) {
       if (request.deadline.expired) {
         request.deadline.expired();
@@ -384,8 +360,10 @@ void BatchCoalescer::CompleteLoop() {
         obs_trace.Record("schedule", 0, 0, batch.submit_us, obs::NowMicros());
       }
     } catch (const std::exception& e) {
-      // Only reachable when the service was shut down under us — a teardown
-      // order the API forbids (coalescer first, then service). Dropping the
+      // The service failed the batch: it was shut down under us (a teardown
+      // order the API forbids — coalescer first, then service), or it
+      // rejected the batch itself, e.g. std::invalid_argument for a start
+      // out of range (the coalescer does not validate starts). Dropping the
       // callbacks is the survivable response; letting the exception escape
       // this thread would be std::terminate.
       std::fprintf(stderr, "BatchCoalescer: batch failed, dropping %zu request(s): %s\n",
@@ -394,12 +372,20 @@ void BatchCoalescer::CompleteLoop() {
     }
     size_t offset = 0;
     if (!completed) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      for (const PendingRequest& request : batch.requests) {
-        inflight_queries_ -= request.starts.size();
+      // Slot release, then the hook, as on the other two paths: the hook is
+      // the only thing that unparks a kWouldBlock caller, so skipping it
+      // here would leave every connection parked behind this batch parked
+      // for good.
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const PendingRequest& request : batch.requests) {
+          inflight_queries_ -= request.starts.size();
+        }
+        m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
       }
-      m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
-      cv_space_.notify_all();
+      if (on_batch_complete_) {
+        on_batch_complete_();
+      }
       continue;
     }
     if (cancelled) {
@@ -424,7 +410,6 @@ void BatchCoalescer::CompleteLoop() {
         inflight_queries_ -= cancelled_queries;
         m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
       }
-      cv_space_.notify_all();
       if (on_batch_complete_) {
         on_batch_complete_();
       }
@@ -470,7 +455,6 @@ void BatchCoalescer::CompleteLoop() {
       inflight_queries_ -= offset;
       m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
     }
-    cv_space_.notify_all();
     if (on_batch_complete_) {
       on_batch_complete_();
     }
@@ -489,7 +473,6 @@ void BatchCoalescer::Shutdown() {
     completer = std::move(completer_);
   }
   cv_flush_.notify_all();
-  cv_space_.notify_all();
   cv_complete_.notify_all();
   if (flusher.joinable()) {
     flusher.join();

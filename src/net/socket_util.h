@@ -1,7 +1,7 @@
 // Tiny shared socket helpers for the net layer. Header-only on purpose:
-// wire.h stays a pure framing module with no socket dependency, and the
-// server/client share one definition of the send loop instead of diverging
-// copies.
+// wire.h stays a pure framing module with no socket dependency, and every
+// send in the server (SendVec, nonblocking) and the client (SendAll,
+// blocking) goes through the one SendMsgImpl seam below.
 #ifndef FLEXIWALKER_SRC_NET_SOCKET_UTIL_H_
 #define FLEXIWALKER_SRC_NET_SOCKET_UTIL_H_
 
@@ -34,7 +34,7 @@ inline ssize_t SendMsgImpl(int fd, const msghdr* msg, int flags) {
 }
 
 // Full-buffer send loop; MSG_NOSIGNAL so a dead peer surfaces as an error
-// return instead of SIGPIPE. Blocking sockets only.
+// return instead of SIGPIPE. Blocking sockets only (the client).
 inline bool SendAll(int fd, const uint8_t* data, size_t size) {
   while (size > 0) {
     msghdr msg{};
@@ -116,14 +116,6 @@ inline SendResult SendVec(int fd, struct iovec*& iov, size_t& count) {
     }
   }
   return SendResult::kDone;
-}
-
-// Blocking-socket convenience wrapper: drains everything or reports a dead
-// peer. kAgain from a blocking socket (possible under SO_SNDTIMEO) is
-// treated as dead — the legacy thread-per-connection write path has no way
-// to resume later.
-inline bool SendAllVec(int fd, struct iovec* iov, size_t count) {
-  return SendVec(fd, iov, count) == SendResult::kDone;
 }
 
 }  // namespace flexi

@@ -26,21 +26,15 @@
 //   malformed frame   -> kError/kMalformedFrame, then the connection is
 //                        closed (the byte stream is desynced for good)
 //
-// Two reader architectures, selected by Options::event_loop:
-//
-//  - Event mode (default): a few event threads own every connection through
-//    epoll. Sockets are nonblocking; each connection runs its FrameDecoder
-//    incrementally as bytes arrive, and responses go out through a per-
-//    connection cork queue with EPOLLOUT-driven partial-write resumption —
-//    a slow or stalled client consumes its own cork memory and nothing
-//    else; the loop never blocks on any one socket. kBlock admission
-//    overflow *parks* the connection (EPOLLIN interest dropped, the decoded
-//    request held) instead of blocking the thread; a batch completion
-//    unparks it.
-//  - Thread mode (event_loop = false): the original one blocking reader
-//    thread per connection; kBlock overflow blocks that reader. Kept as the
-//    low-connection-count baseline and as the contrast case for the fault-
-//    injection tests.
+// Reader architecture: a few event threads own every connection through
+// epoll. Sockets are nonblocking; each connection runs its FrameDecoder
+// incrementally as bytes arrive, and responses go out through a per-
+// connection cork queue with EPOLLOUT-driven partial-write resumption — a
+// slow or stalled client consumes its own cork memory and nothing else; the
+// loop never blocks on any one socket. kBlock admission overflow *parks* the
+// connection (EPOLLIN interest dropped, the decoded request held) instead
+// of blocking a thread; a batch completion — successful, cancelled or
+// failed — unparks it. No thread is ever started per connection.
 //
 // Multi-workload routing: the constructor's service is workload 0; more
 // (service, admission options) pairs register via RegisterWorkload() before
@@ -53,7 +47,7 @@
 // workload's coalescer in the order they were written, so one client
 // pipelining requests gets paths bit-identical to submitting the same
 // batches straight into that WalkService — whatever the coalesce window,
-// pipeline depth, or reader architecture (net_test.cc
+// pipeline depth, or event-thread count (net_test.cc
 // ServedPathsMatchOneShotEngine). docs/SERVING.md has the full protocol and
 // semantics.
 #ifndef FLEXIWALKER_SRC_NET_WALK_SERVER_H_
@@ -93,10 +87,7 @@ class WalkServer {
     // as malformed (or, past 4 GiB, wrap the u32 length field). The default
     // keeps any walk up to length 1023 inside kDefaultMaxFramePayload.
     size_t max_request_starts = 16384;
-    // Epoll event loop (see the header comment) vs one blocking reader
-    // thread per connection.
-    bool event_loop = true;
-    // Event threads sharing the connection population (event mode only).
+    // Event threads sharing the connection population.
     // One suffices far past this container's core count; the knob exists so
     // the loop itself is testable under real thread concurrency.
     size_t event_threads = 1;
@@ -125,7 +116,7 @@ class WalkServer {
   uint32_t RegisterWorkload(std::string name, WalkService& service,
                             BatchCoalescer::Options coalescer_options);
 
-  // Binds, listens, and starts the reader machinery. Returns false (with
+  // Binds, listens, and starts the event threads. Returns false (with
   // *error set when non-null) if the socket or event loop could not be set
   // up.
   bool Start(std::string* error = nullptr);
@@ -197,18 +188,18 @@ class WalkServer {
   struct Connection {
     int fd = -1;
 
-    // Write side, shared between event/reader threads and the coalescers'
+    // Write side, shared between the event threads and the coalescers'
     // completer threads — everything below write_mutex is guarded by it.
     std::mutex write_mutex;
     bool writable = true;
     std::deque<CorkEntry> corked;
     size_t cork_offset = 0;  // bytes of corked.front() already on the wire
-    bool want_read = true;   // epoll interest flags (event mode)
+    bool want_read = true;   // epoll interest flags
     bool want_write = false;
     bool registered = false;  // fd currently in an epoll set
     bool peer_eof = false;    // no more reads; retire once writes drain
-    int epoll_fd = -1;        // owner loop's epoll (event mode)
-    size_t loop = 0;          // owner loop index (event mode)
+    int epoll_fd = -1;        // owner loop's epoll
+    size_t loop = 0;          // owner loop index
 
     // Admitted-but-unanswered requests on this connection. Retirement
     // (peer_eof && corked drained && pending == 0) and the fault tests'
@@ -216,20 +207,17 @@ class WalkServer {
     std::atomic<size_t> pending_requests{0};
 
     // Owner-thread-private state: the event thread's incremental decoder
-    // and park slot, or the reader thread's exit flag. `recv_us` stamps the
-    // moment the bytes feeding the decoder left the socket — the deadline
-    // anchor for frames whose decode was delayed by earlier pipelined
-    // frames stalling in admission.
+    // and park slot. `recv_us` stamps the moment the bytes feeding the
+    // decoder left the socket — the deadline anchor for frames whose decode
+    // was delayed by an earlier pipelined frame parked in admission.
     uint64_t recv_us = 0;
     FrameDecoder decoder;
     std::optional<ParkedRequest> parked;
-    bool open = true;               // event loop: still in the conns map
-    std::atomic<bool> done{false};  // thread mode: reader exited
-    std::thread reader;             // thread mode only
+    bool open = true;  // still in the owner loop's conns map
 
     // The last shared_ptr holder closes the socket — response callbacks can
-    // outlive the reader and the server's connection list, and an fd must
-    // never be reused while any of them could still write.
+    // outlive the event loop's map and the server's connection list, and an
+    // fd must never be reused while any of them could still write.
     ~Connection();
   };
 
@@ -274,25 +262,14 @@ class WalkServer {
     kStopReading,  // malformed (or torn) — reads on this connection are over
   };
 
-  // ---- shared request path (both modes) ----
+  // ---- request path ----
   enum class HandleStatus { kHandled, kWouldBlock };
-  // Validates, routes, and admits one decoded request. `loop` selects the
-  // mode: non-null = event loop (errors corked, TryEnqueue + parking),
-  // null = reader thread (errors sent inline, blocking Enqueue).
-  HandleStatus HandleRequest(EventLoop* loop, const std::shared_ptr<Connection>& conn,
+  // Validates, routes, and admits one decoded request: errors are corked,
+  // admission is TryEnqueue, and a kWouldBlock parks the connection.
+  HandleStatus HandleRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn,
                              WireRequest& request);
 
-  // ---- thread mode ----
-  void AcceptLoop();
-  void ReaderLoop(const std::shared_ptr<Connection>& conn);
-  // Serializes `bytes` onto the connection, swallowing write errors (a dead
-  // peer just stops receiving; the reader notices on its side).
-  static void SendBytes(const std::shared_ptr<Connection>& conn,
-                        const std::vector<uint8_t>& bytes);
-  static void SendError(const std::shared_ptr<Connection>& conn, uint64_t tag,
-                        WireErrorCode code, const std::string& message);
-
-  // ---- event mode ----
+  // ---- event loop ----
   void EventLoopMain(size_t index);
   // Re-arms EPOLLIN after a park resolved (admitted, rejected, or expired):
   // drains frames decoded before the park, then resumes socket reads.
@@ -324,8 +301,7 @@ class WalkServer {
   void CorkFrameEvent(EventLoop& loop, const std::shared_ptr<Connection>& conn,
                       std::shared_ptr<std::vector<uint8_t>> frame);
   // Answers a kStatsRequest with the process registry's Prometheus text.
-  // Event mode corks; thread mode sends inline.
-  void HandleStatsRequest(EventLoop* loop, const std::shared_ptr<Connection>& conn, uint64_t tag);
+  void HandleStatsRequest(EventLoop& loop, const std::shared_ptr<Connection>& conn, uint64_t tag);
   // Nonblocking gathered drain of the cork queue (write_mutex held):
   // advances cork_offset across partial sends, arms/disarms EPOLLOUT, and
   // on kClosed clears the queue and marks the connection unwritable.
@@ -336,10 +312,10 @@ class WalkServer {
   // read again — the caller should tear it down.
   static bool ShouldRetireLocked(const Connection& conn);
 
-  // ---- response path (both modes) ----
+  // ---- response path ----
   // Corks an error frame from any thread (the coalescer's flusher/completer
   // — the deadline ExpireFn path) onto the shared dirty list; the batch-
-  // complete hook's FlushCorkedWrites pushes it out in both modes. Contrast
+  // complete hook's FlushCorkedWrites pushes it out. Contrast
   // CorkErrorEvent, which is loop-thread-only because it drains inline.
   void CorkError(const std::shared_ptr<Connection>& conn, uint64_t tag, WireErrorCode code,
                  const std::string& message);
@@ -352,11 +328,15 @@ class WalkServer {
   // first_query_id was just patched, so corking moves zero payload bytes.
   void CorkPlacedFrame(const std::shared_ptr<Connection>& conn,
                        std::shared_ptr<std::vector<uint8_t>> frame);
+  // The body the three corks above share: appends `entry` to the queue
+  // unless the connection is unwritable, and puts the connection on the
+  // dirty list when its queue was empty.
+  void CorkEntryForFlush(const std::shared_ptr<Connection>& conn, CorkEntry entry);
   // Everything corked since the last flush goes out as one gathered
   // sendmsg() per connection when a coalescer's batch-complete hook fires:
   // N same-connection responses per coalesced batch => 1 syscall, the
-  // write-side half of the coalescing win. Event mode drains nonblocking
-  // and leaves the remainder to EPOLLOUT.
+  // write-side half of the coalescing win. The drain is nonblocking and
+  // leaves the remainder to EPOLLOUT.
   void FlushCorkedWrites();
 
   NodeId num_nodes_;
@@ -364,9 +344,8 @@ class WalkServer {
   std::vector<std::unique_ptr<Workload>> workloads_;
 
   int listen_fd_ = -1;
-  bool listener_registered_ = false;  // loop-0-thread state (event mode)
+  bool listener_registered_ = false;  // loop-0-thread state
   uint16_t port_ = 0;
-  std::thread acceptor_;  // thread mode only
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<size_t> next_loop_{0};
   std::mutex connections_mutex_;

@@ -25,6 +25,7 @@
 #include "src/net/walk_client.h"
 #include "src/net/walk_server.h"
 #include "src/net/wire.h"
+#include "src/obs/metrics.h"
 #include "src/sampling/inverse_transform.h"
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/path_arena.h"
@@ -194,15 +195,17 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   BatchCoalescer::Options coalescer;
   coalescer.max_outstanding_queries = 8;
   coalescer.overflow = BatchCoalescer::OverflowPolicy::kBlock;
-  WalkServer::Options base;
-  base.event_loop = false;  // blocking reader: admission stalls the decode loop
-  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer, base);
+  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer);
+  obs::Counter& decode_sheds = obs::MetricsRegistry::Global().GetCounter(
+      obs::WithLabel("flexi_requests_deadline_exceeded_total", "stage", "decode"));
+  uint64_t decode_sheds_before = decode_sheds.Value();
 
   // One send carrying three pipelined frames. The first fills the admission
-  // bound; the second (deadline-free) blocks the reader in Enqueue until
-  // the first batch completes; by the time the third decodes, its 20 ms
-  // budget — anchored at recv, when its bytes actually arrived — is long
-  // gone, so it must be shed at decode, before admission.
+  // bound; the second (deadline-free) parks the connection, so the third
+  // stays undecoded in the connection's decoder until the first batch's
+  // completion unparks the second. By the time the third decodes, its
+  // 20 ms budget — anchored at recv, when its bytes actually arrived — is
+  // long gone, so it must be shed at decode, before admission.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -238,6 +241,7 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   EXPECT_EQ(answers[2].type, FrameType::kResponse);
   ASSERT_EQ(answers[3].type, FrameType::kError);
   EXPECT_EQ(answers[3].error.code, WireErrorCode::kDeadlineExceeded);
+  EXPECT_EQ(decode_sheds.Value(), decode_sheds_before + 1) << answers[3].error.message;
   ExpectOutstandingDrains(stack.server->coalescer());
 }
 

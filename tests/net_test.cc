@@ -16,9 +16,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <random>
 #include <string>
 #include <thread>
@@ -217,6 +219,16 @@ std::vector<NodeId> Range(NodeId begin, NodeId end) {
   return starts;
 }
 
+// TryEnqueue over temporaries: the standalone tests present each request
+// once and never re-present it, so nothing needs to outlive the call.
+BatchCoalescer::AdmitStatus Admit(BatchCoalescer& coalescer, std::vector<NodeId> starts,
+                                  BatchCoalescer::DoneFn done,
+                                  BatchCoalescer::PlaceFn place = nullptr) {
+  return coalescer.TryEnqueue(starts, done, place);
+}
+
+constexpr auto kAdmitted = BatchCoalescer::AdmitStatus::kAdmitted;
+
 TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 10);
@@ -234,10 +246,11 @@ TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
   std::vector<std::future<BatchCoalescer::RequestResult>> futures;
   for (size_t r = 0; r < requests.size(); ++r) {
     futures.push_back(done[r].get_future());
-    ASSERT_TRUE(coalescer.Enqueue(Range(requests[r].first, requests[r].second),
-                                  [&done, r](BatchCoalescer::RequestResult result) {
-                                    done[r].set_value(std::move(result));
-                                  }));
+    ASSERT_EQ(Admit(coalescer, Range(requests[r].first, requests[r].second),
+                    [&done, r](BatchCoalescer::RequestResult result) {
+                      done[r].set_value(std::move(result));
+                    }),
+              kAdmitted);
   }
   std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
@@ -280,13 +293,17 @@ TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
 
   std::promise<BatchCoalescer::RequestResult> first_done;
   auto first_future = first_done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue(Range(0, 8), [&](BatchCoalescer::RequestResult result) {
-    first_done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, Range(0, 8),
+                  [&](BatchCoalescer::RequestResult result) {
+                    first_done.set_value(std::move(result));
+                  }),
+            kAdmitted);
   // 8 outstanding + 1 > 8: rejected immediately, callback never owed.
-  EXPECT_FALSE(coalescer.Enqueue(Range(8, 9), [](BatchCoalescer::RequestResult) {
-    FAIL() << "rejected request must not complete";
-  }));
+  EXPECT_EQ(Admit(coalescer, Range(8, 9),
+                  [](BatchCoalescer::RequestResult) {
+                    FAIL() << "rejected request must not complete";
+                  }),
+            BatchCoalescer::AdmitStatus::kRejected);
   EXPECT_EQ(coalescer.requests_rejected(), 1u);
 
   coalescer.Shutdown();  // flushes the pending window
@@ -295,7 +312,26 @@ TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
   EXPECT_EQ(result.first_query_id, 0u);
 }
 
-TEST(BatchCoalescer, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
+// Signals every batch-complete hook firing to a waiting test thread.
+struct HookProbe {
+  std::mutex mutex;
+  std::condition_variable cv;
+  int fired = 0;
+
+  std::function<void()> Hook() {
+    return [this] {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++fired;
+      cv.notify_all();
+    };
+  }
+  bool WaitFired(int count, std::chrono::seconds timeout = std::chrono::seconds(10)) {
+    std::unique_lock<std::mutex> lock(mutex);
+    return cv.wait_for(lock, timeout, [&] { return fired >= count; });
+  }
+};
+
+TEST(BatchCoalescer, BlockPolicyParksInsteadOfRejecting) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
   WalkService service(graph, walk, ItsOptions(7), ItsStep());
@@ -303,18 +339,65 @@ TEST(BatchCoalescer, BlockPolicyWaitsForSpaceInsteadOfRejecting) {
   options.max_delay_ms = 5.0;
   options.max_outstanding_queries = 4;
   options.overflow = BatchCoalescer::OverflowPolicy::kBlock;
+  HookProbe probe;  // outlives the coalescer, whose threads call the hook
   BatchCoalescer coalescer(service, options);
+  coalescer.SetBatchCompleteHook(probe.Hook());
 
   std::atomic<int> completed{0};
-  ASSERT_TRUE(coalescer.Enqueue(Range(0, 4), [&](BatchCoalescer::RequestResult) { ++completed; }));
-  // Over the bound: Enqueue must block until the first batch completes,
-  // then admit — never reject.
-  std::thread producer([&] {
-    EXPECT_TRUE(coalescer.Enqueue(Range(4, 8), [&](BatchCoalescer::RequestResult) { ++completed; }));
-  });
-  producer.join();
+  ASSERT_EQ(Admit(coalescer, Range(0, 4), [&](BatchCoalescer::RequestResult) { ++completed; }),
+            kAdmitted);
+  // Over the bound: kBlock answers kWouldBlock — never kRejected — and
+  // leaves the request with the caller, who re-presents it once the first
+  // batch's hook has freed the space.
+  std::vector<NodeId> starts = Range(4, 8);
+  BatchCoalescer::DoneFn done = [&](BatchCoalescer::RequestResult) { ++completed; };
+  BatchCoalescer::PlaceFn place;
+  EXPECT_EQ(coalescer.TryEnqueue(starts, done, place), BatchCoalescer::AdmitStatus::kWouldBlock);
+  EXPECT_EQ(starts.size(), 4u) << "a parked request must be left intact";
+  ASSERT_TRUE(probe.WaitFired(1)) << "the first batch never fired its hook";
+  EXPECT_EQ(coalescer.TryEnqueue(starts, done, place), kAdmitted);
   coalescer.Shutdown();
   EXPECT_EQ(completed.load(), 2);
+  EXPECT_EQ(coalescer.requests_rejected(), 0u);
+}
+
+TEST(BatchCoalescer, FailedBatchFiresHookSoParkedRequestIsAdmitted) {
+  // The service fails a batch holding an out-of-range start (the coalescer
+  // does not validate starts). Its release must still fire the batch-
+  // complete hook: that hook is the only wakeup a kWouldBlock caller gets,
+  // so without it a request parked behind the failed batch stays parked.
+  Graph graph = CoalescerGraph();
+  Node2VecWalk walk(2.0, 0.5, 6);
+  WalkService service(graph, walk, ItsOptions(7), ItsStep());
+  BatchCoalescer::Options options;
+  options.max_delay_ms = 200.0;  // the bad request holds the bound meanwhile
+  options.max_outstanding_queries = 1;
+  options.overflow = BatchCoalescer::OverflowPolicy::kBlock;
+  HookProbe probe;  // outlives the coalescer, whose threads call the hook
+  BatchCoalescer coalescer(service, options);
+  coalescer.SetBatchCompleteHook(probe.Hook());
+
+  ASSERT_EQ(Admit(coalescer, {graph.num_nodes() + 5},
+                  [](BatchCoalescer::RequestResult) {
+                    FAIL() << "a failed batch's request must not complete";
+                  }),
+            kAdmitted);
+  std::promise<BatchCoalescer::RequestResult> parked_done;
+  auto parked_future = parked_done.get_future();
+  std::vector<NodeId> starts = {3};
+  BatchCoalescer::DoneFn done = [&](BatchCoalescer::RequestResult result) {
+    parked_done.set_value(std::move(result));
+  };
+  BatchCoalescer::PlaceFn place;
+  ASSERT_EQ(coalescer.TryEnqueue(starts, done, place), BatchCoalescer::AdmitStatus::kWouldBlock);
+
+  ASSERT_TRUE(probe.WaitFired(1)) << "the failed batch released its slots without the hook";
+  EXPECT_EQ(coalescer.outstanding_queries(), 0u);
+  ASSERT_EQ(coalescer.TryEnqueue(starts, done, place), kAdmitted);
+  ASSERT_EQ(parked_future.wait_for(std::chrono::seconds(10)), std::future_status::ready);
+  BatchCoalescer::RequestResult result = parked_future.get();
+  EXPECT_EQ(result.num_queries, 1u);
+  EXPECT_EQ(result.paths[0], 3u);
   EXPECT_EQ(coalescer.requests_rejected(), 0u);
 }
 
@@ -327,9 +410,11 @@ TEST(BatchCoalescer, EmptyRequestCompletes) {
   BatchCoalescer coalescer(service, options);
   std::promise<BatchCoalescer::RequestResult> done;
   auto future = done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue({}, [&](BatchCoalescer::RequestResult result) {
-    done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, {},
+                  [&](BatchCoalescer::RequestResult result) {
+                    done.set_value(std::move(result));
+                  }),
+            kAdmitted);
   EXPECT_EQ(future.get().num_queries, 0u);
 }
 
@@ -351,9 +436,11 @@ TEST(BatchCoalescer, AdaptiveWindowFlushesSparseTrafficImmediately) {
   auto walk_one = [&](NodeId start) {
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    EXPECT_TRUE(coalescer.Enqueue({start}, [&done](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    EXPECT_EQ(Admit(coalescer, {start},
+                    [&done](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              kAdmitted);
     return future.get();
   };
   auto t0 = std::chrono::steady_clock::now();
@@ -381,9 +468,11 @@ TEST(BatchCoalescer, AdaptiveWindowFlushesPostIdleGapImmediately) {
   auto walk_one = [&](NodeId start) {
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    EXPECT_TRUE(coalescer.Enqueue({start}, [&done](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    EXPECT_EQ(Admit(coalescer, {start},
+                    [&done](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              kAdmitted);
     return future.get();
   };
   auto t0 = std::chrono::steady_clock::now();
@@ -413,9 +502,11 @@ TEST(BatchCoalescer, AdaptiveWindowStillCoalescesDenseTraffic) {
 
   std::promise<BatchCoalescer::RequestResult> cold_done;
   auto cold = cold_done.get_future();
-  ASSERT_TRUE(coalescer.Enqueue({1}, [&](BatchCoalescer::RequestResult result) {
-    cold_done.set_value(std::move(result));
-  }));
+  ASSERT_EQ(Admit(coalescer, {1},
+                  [&](BatchCoalescer::RequestResult result) {
+                    cold_done.set_value(std::move(result));
+                  }),
+            kAdmitted);
   // Wait for the cold FLUSH (not completion): the sparse/dense decision
   // keys off enqueue-to-enqueue gaps, so gating on batches_flushed keeps
   // the dense enqueues' gaps tiny regardless of how long the cold walk
@@ -429,10 +520,11 @@ TEST(BatchCoalescer, AdaptiveWindowStillCoalescesDenseTraffic) {
   std::vector<std::future<BatchCoalescer::RequestResult>> futures;
   for (size_t r = 0; r < done.size(); ++r) {
     futures.push_back(done[r].get_future());
-    ASSERT_TRUE(coalescer.Enqueue({static_cast<NodeId>(r)},
-                                  [&done, r](BatchCoalescer::RequestResult result) {
-                                    done[r].set_value(std::move(result));
-                                  }));
+    ASSERT_EQ(Admit(coalescer, {static_cast<NodeId>(r)},
+                    [&done, r](BatchCoalescer::RequestResult result) {
+                      done[r].set_value(std::move(result));
+                    }),
+              kAdmitted);
   }
   for (auto& future : futures) {
     future.get();
@@ -458,9 +550,11 @@ TEST(BatchCoalescer, RequestResultArenaOutlivesCoalescer) {
     BatchCoalescer coalescer(service, options);
     std::promise<BatchCoalescer::RequestResult> done;
     auto future = done.get_future();
-    ASSERT_TRUE(coalescer.Enqueue(Range(3, 6), [&](BatchCoalescer::RequestResult result) {
-      done.set_value(std::move(result));
-    }));
+    ASSERT_EQ(Admit(coalescer, Range(3, 6),
+                    [&](BatchCoalescer::RequestResult result) {
+                      done.set_value(std::move(result));
+                    }),
+              kAdmitted);
     kept = future.get();
   }
   ASSERT_EQ(kept.num_queries, 3u);
@@ -498,10 +592,13 @@ TEST(BatchCoalescer, PlacedRowsMatchFallbackAndDirectSubmission) {
         return {buffers[r]->data(), buffers[r]};
       };
     }
-    ASSERT_TRUE(coalescer.Enqueue(
-        Range(requests[r].first, requests[r].second),
-        [&done, r](BatchCoalescer::RequestResult result) { done[r].set_value(std::move(result)); },
-        std::move(place)));
+    ASSERT_EQ(Admit(
+                  coalescer, Range(requests[r].first, requests[r].second),
+                  [&done, r](BatchCoalescer::RequestResult result) {
+                    done[r].set_value(std::move(result));
+                  },
+                  std::move(place)),
+              kAdmitted);
   }
   std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
@@ -534,9 +631,11 @@ TEST(BatchCoalescer, EnqueueAfterShutdownIsRejected) {
   WalkService service(graph, walk, ItsOptions(1), ItsStep());
   BatchCoalescer coalescer(service, {});
   coalescer.Shutdown();
-  EXPECT_FALSE(coalescer.Enqueue(Range(0, 4), [](BatchCoalescer::RequestResult) {
-    FAIL() << "must not complete after shutdown";
-  }));
+  EXPECT_EQ(Admit(coalescer, Range(0, 4),
+                  [](BatchCoalescer::RequestResult) {
+                    FAIL() << "must not complete after shutdown";
+                  }),
+            BatchCoalescer::AdmitStatus::kRejected);
 }
 
 // ------------------------------------------------------------ end to end --
@@ -579,15 +678,15 @@ TEST(WalkServerEndToEnd, ServedPathsMatchOneShotEngineAcrossConfigs) {
   struct Config {
     double coalesce_ms;
     unsigned pipeline_depth;
-    bool event_loop;
+    size_t event_threads;
   };
-  for (Config config : {Config{0.0, 1, true}, Config{5.0, 1, true}, Config{5.0, 4, true},
-                        Config{5.0, 4, false}}) {
+  for (Config config : {Config{0.0, 1, 1}, Config{5.0, 1, 1}, Config{5.0, 4, 1},
+                        Config{5.0, 4, 2}}) {
     SCOPED_TRACE("coalesce_ms=" + std::to_string(config.coalesce_ms) +
                  " depth=" + std::to_string(config.pipeline_depth) +
-                 " event_loop=" + std::to_string(config.event_loop));
+                 " event_threads=" + std::to_string(config.event_threads));
     WalkServer::Options base;
-    base.event_loop = config.event_loop;
+    base.event_threads = config.event_threads;
     ServedStack stack(config.coalesce_ms, config.pipeline_depth, {}, base);
 
     WalkClient client;
@@ -840,7 +939,9 @@ TEST(SocketUtil, SendVecRetriesInjectedEintr) {
   iovec iov[3] = {{payload.data(), 5000},
                   {payload.data() + 5000, 7000},
                   {payload.data() + 12000, 8000}};
-  EXPECT_TRUE(SendAllVec(fds[0], iov, 3));
+  iovec* cursor = iov;
+  size_t count = 3;
+  EXPECT_EQ(SendVec(fds[0], cursor, count), SendResult::kDone);
   ::shutdown(fds[0], SHUT_WR);
   consumer.join();
   EXPECT_GT(g_eintr_injected.load(), 0);
