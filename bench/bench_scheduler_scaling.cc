@@ -9,8 +9,8 @@
 //
 // Phase 2: dispensation contention. First a pure QueryQueue drain (no
 // walking) showing what the global ticket counter costs by itself, then the
-// repeated-small-batch walk workload across {per-query, chunked,
-// chunked+steal} × thread counts, with QPS and p50/p99 batch latency per
+// repeated-small-batch walk workload across {per-query, chunked+steal} ×
+// thread counts, with QPS and p50/p99 batch latency per
 // config. The per-config numbers land in BENCH_scheduler.json (override
 // with --json <path>) so CI keeps a perf trajectory across PRs. Dispatch
 // counts are reported via QueryQueue::dispensed() — the clamped view —
@@ -53,8 +53,6 @@ const char* ModeName(DispenseMode mode) {
   switch (mode) {
     case DispenseMode::kPerQuery:
       return "per-query";
-    case DispenseMode::kChunked:
-      return "chunked";
     case DispenseMode::kChunkedSteal:
       return "chunked+steal";
   }
@@ -147,7 +145,7 @@ int main(int argc, char** argv) {
 
   // --- Phase 2a: pure dispensation drain — the ticket counter in isolation.
   // T threads hammer one QueryQueue with no walk work at all; per-query mode
-  // is one contended global RMW per ticket, the chunked modes touch the
+  // is one contended global RMW per ticket, chunked+steal touches the
   // global counter once per chunk. Dispatch counts use dispensed(), the
   // clamped view, so the table never reports more tickets than exist.
   PrintHeader("Query dispensation drain", "ticket-counter contention, no walking");
@@ -157,9 +155,8 @@ int main(int argc, char** argv) {
   Table drain_table({"threads", "mode", "drain ms", "Mticket/s", "dispensed", "speedup"});
   for (unsigned threads : sweep_threads) {
     double per_query_ms = 0.0;
-    for (DispenseMode mode :
-         {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-      QueryQueue queue(drain_starts, threads, {mode, 0});
+    for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+      QueryQueue queue(drain_starts, threads, mode);
       auto t0 = std::chrono::steady_clock::now();
       std::vector<std::thread> drainers;
       for (unsigned w = 0; w < threads; ++w) {
@@ -205,11 +202,10 @@ int main(int argc, char** argv) {
   std::vector<NodeId> sweep_reference;
   for (unsigned threads : sweep_threads) {
     double per_query_ms = 0.0;
-    for (DispenseMode mode :
-         {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
+    for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
       SchedulerOptions options;
       options.num_threads = threads;
-      options.dispense = {mode, 0};
+      options.dispense = mode;
       WalkScheduler scheduler(options);
       scheduler.Run(sweep_graph, sweep_walk, sweep_starts, kBenchSeed, cached_step);  // warm-up
       std::vector<double> batch_ms;

@@ -8,24 +8,32 @@
 //   $ ./flexiwalker_cli --dataset YT --workload deepwalk --listen 7331   # TCP server
 //   $ printf '0 1 2\nquit\n' | ./flexiwalker_cli --connect 7331         # TCP client
 //   $ ./flexiwalker_cli --help
+//
+// Every flag is one row of FlagTable(), which drives parsing, the usage
+// text, and the gate that rejects a flag given where it has no effect.
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/walk_analysis.h"
@@ -52,76 +60,56 @@
 namespace flexi {
 namespace {
 
+// Run modes. Every flag names the modes where it has an effect; giving it in
+// any other mode is a usage error, never a silent no-op.
+enum Mode : unsigned {
+  kOneShot = 1u << 0,  // walk the --queries starts once and exit
+  kServe = 1u << 1,    // --serve: stdin batches through one WalkService
+  kListen = 1u << 2,   // --listen: TCP WalkServer
+  kConnect = 1u << 3,  // --connect: TCP client; builds no graph or engine
+};
+constexpr unsigned kLocalModes = kOneShot | kServe | kListen;
+constexpr unsigned kAllModes = kLocalModes | kConnect;
+
 struct CliOptions {
-  std::string dataset = "YT";
+  const DatasetSpec* dataset = &DatasetByName("YT");
   std::string graph_path;
   std::string workload = "node2vec";
   std::string engine = "flexiwalker";
-  std::string weights = "uniform";  // uniform|pareto|degree|none
+  WeightDistribution weights = WeightDistribution::kUniform;
   double alpha = 2.0;
   uint32_t length = 80;
-  size_t queries = 0;  // 0 = one per node
+  size_t queries = 0;    // 0 = one per node
   unsigned threads = 0;  // 0 = hardware concurrency
   uint64_t seed = 2026;
   std::string out_path;
-  // Query-id dispensation (flexiwalker engine + serving modes; walk paths
-  // are identical for every setting — see query_queue.h).
-  unsigned chunk = 0;          // ids per global claim; 0 = adaptive
-  std::string steal = "on";    // raw --steal text; steal_on is the parsed truth
-  bool steal_on = true;
-  bool dispense_set = false;   // either flag given explicitly
-  // Wavefront width for the scheduler's batched inner loop (scheduler.h);
-  // 0 = the scheduler default. Paths are identical for every width.
-  unsigned wavefront = 0;
-  bool wavefront_set = false;
+  uint32_t wavefront = 0;  // 0 = the scheduler default
   // Out-of-core tier (out_of_core.h): giving either flag routes the
-  // one-shot run through the block-cached executor — partition to a block
-  // file, then walk it under a bounded GraphCache. Paths are bit-identical
-  // to the in-memory engine with the same pinned cost ratio.
+  // one-shot run through the block-cached executor.
   size_t block_bytes = kDefaultBlockBytes;
   uint32_t cache_blocks = 4;
-  bool out_of_core = false;  // either flag given explicitly
-  bool serve = false;
-  // Network serving (docs/SERVING.md "Network serving"):
-  int listen_port = -1;     // >= 0 => run a WalkServer (0 = ephemeral port)
-  std::string connect;      // non-empty => client mode, "port" or "host:port"
-  unsigned coalesce_us = 200;   // request coalescing window
-  size_t max_batch = 512;       // coalescer flush threshold (queries)
-  size_t admit = 1 << 16;       // admission bound (queries, pending + in flight)
-  std::string overflow = "block";  // block|reject when the bound is hit
-  unsigned pipeline = 2;        // WalkService in-flight batch depth
-  // Extra workloads to register on the server besides the primary --workload
-  // (which is always workload id 0, name "default"). Comma-separated
-  // name[:admit=N][:overflow=block|reject] entries; see docs/SERVING.md.
-  std::string workloads;
-  uint32_t workload_id = 0;     // client mode: route requests to this workload
-  bool workload_id_set = false;
-  // Deadline-aware serving (docs/SERVING.md "Deadlines, retries, and drain"):
-  uint64_t deadline_us = 0;         // client mode: per-request latency budget (v3 frames)
-  bool deadline_us_set = false;
-  unsigned request_timeout_ms = 0;  // client mode: local per-request answer timeout
-  bool request_timeout_set = false;
-  unsigned retries = 0;             // client mode: Walk() retries on transient failures
-  bool retries_set = false;
-  unsigned drain_ms = 5000;         // listen mode: SIGTERM/SIGINT drain grace
-  bool drain_ms_set = false;
-  // Telemetry (docs/OBSERVABILITY.md):
-  bool stats = false;           // client mode: scrape the server's metrics and exit
-  std::string metrics_out;      // listen mode: Prometheus dump path (SIGUSR1 + exit)
-  std::string trace_out;        // listen mode: Chrome trace_event JSON path (exit)
-  bool static_cache = false;    // FlexiWalkerOptions::cache_static_tables
-  // Compiled step kernels (src/compiler/jit.h): --jit on|off|auto selects
-  // the mode, --jit-cache-dir the on-disk .so cache. Paths are bit-identical
-  // compiled or interpreted, so the flags tune speed only.
-  std::string jit = "off";      // raw --jit text; jit_mode is the parsed truth
-  jit::JitMode jit_mode = jit::JitMode::kOff;
-  bool jit_set = false;
+  uint16_t listen_port = 0;
+  std::string connect;  // "port" or "host:port"
+  unsigned coalesce_us = 200;
+  size_t max_batch = 512;
+  size_t admit = 1 << 16;
+  BatchCoalescer::OverflowPolicy overflow = BatchCoalescer::OverflowPolicy::kBlock;
+  unsigned pipeline = 2;
+  std::string workloads;  // extra server workloads, see ParseWorkloadSpecs
+  uint32_t workload_id = 0;
+  uint64_t deadline_us = 0;
+  unsigned request_timeout_ms = 0;
+  unsigned retries = 0;
+  unsigned drain_ms = 5000;
+  std::string metrics_out;
+  std::string trace_out;
+  jit::JitMode jit = jit::JitMode::kOff;
   std::string jit_cache_dir;
-  bool jit_cache_dir_set = false;
-  std::string adaptive_window = "on";  // raw --adaptive-window text
-  bool adaptive_window_on = true;
-  bool adaptive_window_set = false;  // flag given explicitly
-  bool help = false;
+  bool adaptive_window = true;
+  // Every flag given on the command line, by its table name.
+  std::set<std::string_view> given;
+
+  bool Given(std::string_view flag) const { return given.count(flag) != 0; }
 };
 
 // Distinct exit codes so scripts can tell failure modes apart: flag/usage
@@ -131,352 +119,370 @@ constexpr int kExitUsage = 1;
 constexpr int kExitUnsupportedEngine = 2;
 constexpr int kExitMalformedInput = 3;
 
-void PrintUsage() {
-  std::printf(
-      "flexiwalker_cli — run dynamic random walks\n\n"
-      "  --dataset  <YT|CP|LJ|OK|EU|AB|UK|TW|SK|FS>   stand-in dataset (default YT)\n"
-      "  --graph    <path>        edge-list file instead of a dataset\n"
-      "  --workload <node2vec|metapath|2ndpr|deepwalk|ppr|temporal|temporal-decay|\n"
-      "              autoregressive>\n"
-      "  --engine   <flexiwalker|flowwalker|nextdoor|csaw|skywalker|thunderrw|\n"
-      "              knightking|sowalker>\n"
-      "  --weights  <uniform|pareto|degree|none>       property weights (default uniform)\n"
-      "  --alpha    <float>       Pareto shape when --weights pareto (default 2.0)\n"
-      "  --length   <steps>       walk length (default 80)\n"
-      "  --queries  <n>           number of start nodes (default: every node)\n"
-      "  --threads  <n>           host worker threads (default: hardware concurrency;\n"
-      "                           walk paths are identical for any value)\n"
-      "  --chunk    <n>           query ids claimed per global-counter RMW, 1..%u\n"
-      "                           (flexiwalker engine; default 0 = adaptive; paths\n"
-      "                           identical for any value)\n"
-      "  --steal    <on|off>      work-stealing between worker chunk cursors\n"
-      "                           (flexiwalker engine; default on; paths identical)\n"
-      "  --wavefront <n>          in-flight walks per worker in the scheduler's\n"
-      "                           batched inner loop, 1..%u (flexiwalker engine;\n"
-      "                           default 0 = scheduler default; 1 = walk-at-a-time;\n"
-      "                           paths identical for any width)\n"
-      "  --jit      <on|off|auto> compiled step kernels (flexiwalker engine, all\n"
-      "                           tiers): specialize the workload's step into one\n"
-      "                           compiled, dlopen'd function cached by program hash\n"
-      "                           (default off; auto compiles in the background and\n"
-      "                           swaps in; paths identical compiled or interpreted)\n"
-      "  --jit-cache-dir <path>   on-disk .so cache for --jit (default: system temp)\n"
-      "  --seed     <n>           RNG seed (default 2026)\n"
-      "  --out      <path>        write walks, one per line\n"
-      "out-of-core execution (flexiwalker engine, one-shot runs, first-order\n"
-      "workloads; giving either flag enables the tier — docs/ARCHITECTURE.md):\n"
-      "  --block-bytes <n>        partition the graph into <= n-byte edge blocks,\n"
-      "                           n >= %zu (default %zu); paths identical to the\n"
-      "                           in-memory engine\n"
-      "  --cache-blocks <n>       resident-block budget, >= 1 (default 4); edge\n"
-      "                           memory is bounded by cache-blocks x block-bytes\n"
-      "  --serve                  streaming mode (flexiwalker engine only): read\n"
-      "                           batches of start-node ids from stdin, one batch\n"
-      "                           per line, until EOF or \"quit\"; see docs/SERVING.md\n"
-      "network serving (flexiwalker engine only; docs/SERVING.md \"Network serving\"):\n"
-      "  --listen   <port>        serve over TCP on 127.0.0.1:<port> (0 = ephemeral;\n"
-      "                           the bound port is printed); stdin EOF or \"quit\" stops\n"
-      "  --connect  <[host:]port> client mode: send stdin batches to a WalkServer\n"
-      "  --coalesce-us <n>        server request-coalescing window (default 200)\n"
-      "  --max-batch <n>          coalescer flush threshold, queries (default 512)\n"
-      "  --admit    <n>           admission bound, queries pending+in-flight (default 65536)\n"
-      "  --overflow <block|reject> backpressure when the bound is hit (default block)\n"
-      "  --pipeline <n>           in-flight batch depth on the WalkService (default 2)\n"
-      "  --workloads <spec>       register extra workloads on the server besides the\n"
-      "                           primary --workload (always id 0): comma-separated\n"
-      "                           name[:admit=<n>][:overflow=<block|reject>] entries,\n"
-      "                           e.g. deepwalk:admit=1024:overflow=reject,ppr\n"
-      "  --workload-id <n>        client mode: route requests to server workload <n>\n"
-      "                           (default 0; nonzero emits v2 request frames)\n"
-      "  --deadline-us <n>        client mode: attach an <n>-microsecond latency budget\n"
-      "                           to each request (v3 frames); the server sheds lapsed\n"
-      "                           work and answers \"deadline exceeded\"\n"
-      "  --request-timeout-ms <n> client mode: fail a request locally when no answer\n"
-      "                           arrives within <n> ms (also bounds connect)\n"
-      "  --retries <n>            client mode: retry transient failures (torn connection,\n"
-      "                           timeout, overloaded/draining/deadline-exceeded) up to\n"
-      "                           <n> times with jittered exponential backoff\n"
-      "  --drain-ms <n>           listen mode: SIGTERM/SIGINT graceful-drain grace — stop\n"
-      "                           accepting, answer new requests \"draining\", let admitted\n"
-      "                           work finish up to <n> ms, then stop (default 5000)\n"
-      "  --static-cache           cached static-walk fast path: serve static workloads\n"
-      "                           (deepwalk/unweighted) from per-node alias tables\n"
-      "  --adaptive-window <on|off> EWMA-adaptive coalesce window: flush immediately\n"
-      "                           when traffic is sparse, so idle-period requests pay\n"
-      "                           walk latency instead of the window (default on)\n"
-      "telemetry (docs/OBSERVABILITY.md):\n"
-      "  --stats                  client mode: scrape the server's metrics registry\n"
-      "                           (kStatsRequest), print the Prometheus text, exit\n"
-      "  --metrics-out <path>     listen mode: write the local metrics registry as\n"
-      "                           Prometheus text on SIGUSR1 and again at shutdown\n"
-      "  --trace-out <path>       listen mode: record request-lifecycle spans and\n"
-      "                           write them as Chrome trace_event JSON at shutdown\n"
-      "exit codes: 0 ok | %d usage | %d unsupported engine | %d malformed input\n",
-      kMaxDispenseChunk, kMaxWavefront, kMinBlockBytes, kDefaultBlockBytes, kExitUsage,
-      kExitUnsupportedEngine, kExitMalformedInput);
-}
-
-// Strict unsigned parse for the serving flags, where a wrapped negative
-// would mean a 71-minute coalesce window or 4 billion dispatcher threads
-// rather than a harmless default.
-bool ParseUnsignedFlag(const char* flag, const char* text, unsigned long long max_value,
-                       unsigned long long& out) {
+// Strict unsigned parse: digits only, no sign, no trailing garbage, within
+// [lo, hi]. A wrapped negative would mean a 71-minute coalesce window or 4
+// billion walks rather than a harmless default.
+bool ParseUnsigned(const char* text, uint64_t lo, uint64_t hi, uint64_t& out) {
   errno = 0;
   char* end = nullptr;
   unsigned long long value = std::strtoull(text, &end, 10);
-  if (text[0] == '-' || end == text || *end != '\0' || errno == ERANGE || value > max_value) {
-    std::fprintf(stderr, "bad value for %s: %s\n", flag, text);
+  if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' || errno == ERANGE ||
+      value < lo || value > hi) {
     return false;
   }
   out = value;
   return true;
 }
 
-// Strict on|off parse for the boolean-valued flags; anything else is a
-// usage error, matching the numeric-flag convention.
-bool ParseOnOff(const char* flag, const std::string& text, bool& out) {
-  if (text == "on") {
-    out = true;
-    return true;
+template <typename T>
+using Choices = std::vector<std::pair<std::string, T>>;
+
+template <typename T>
+bool ParseChoice(std::string_view text, const Choices<T>& choices, T& out) {
+  for (const auto& [name, value] : choices) {
+    if (text == name) {
+      out = value;
+      return true;
+    }
   }
-  if (text == "off") {
-    out = false;
-    return true;
-  }
-  std::fprintf(stderr, "bad value for %s: %s (want on|off)\n", flag, text.c_str());
   return false;
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions& options) {
-  std::map<std::string, std::string*> string_flags = {
-      {"--dataset", &options.dataset},   {"--graph", &options.graph_path},
-      {"--workload", &options.workload}, {"--engine", &options.engine},
-      {"--weights", &options.weights},   {"--out", &options.out_path},
-      {"--connect", &options.connect},   {"--overflow", &options.overflow},
-      {"--steal", &options.steal},       {"--adaptive-window", &options.adaptive_window},
-      {"--workloads", &options.workloads},
-      {"--metrics-out", &options.metrics_out}, {"--trace-out", &options.trace_out},
-      {"--jit", &options.jit},           {"--jit-cache-dir", &options.jit_cache_dir},
+template <typename T>
+std::string ChoiceList(const Choices<T>& choices) {
+  std::string list;
+  for (const auto& choice : choices) {
+    list += (list.empty() ? "" : "|") + choice.first;
+  }
+  return list;
+}
+
+const Choices<BatchCoalescer::OverflowPolicy> kOverflowChoices = {
+    {"block", BatchCoalescer::OverflowPolicy::kBlock},
+    {"reject", BatchCoalescer::OverflowPolicy::kReject}};
+
+const char* OverflowName(BatchCoalescer::OverflowPolicy policy) {
+  return policy == BatchCoalescer::OverflowPolicy::kReject ? "reject" : "block";
+}
+
+// How a flag's value is parsed and where it lands. `store` is null for
+// presence flags, which take no value.
+struct FlagValue {
+  std::string metavar;  // usage placeholder
+  std::string want;     // what a bad value is told to be
+  std::function<bool(const char* text, CliOptions& options)> store;
+};
+
+FlagValue Presence() { return {}; }
+
+FlagValue String(std::string CliOptions::*field, std::string metavar) {
+  return {std::move(metavar), "",
+          [field](const char* text, CliOptions& options) {
+            options.*field = text;
+            return true;
+          }};
+}
+
+template <typename T>
+FlagValue Unsigned(T CliOptions::*field, uint64_t lo, uint64_t hi, std::string metavar = "<n>") {
+  return {std::move(metavar), std::to_string(lo) + ".." + std::to_string(hi),
+          [field, lo, hi](const char* text, CliOptions& options) {
+            uint64_t value = 0;
+            if (!ParseUnsigned(text, lo, hi, value)) {
+              return false;
+            }
+            options.*field = static_cast<T>(value);
+            return true;
+          }};
+}
+
+FlagValue Double(double CliOptions::*field) {
+  return {"<float>", "a finite number", [field](const char* text, CliOptions& options) {
+            errno = 0;
+            char* end = nullptr;
+            double value = std::strtod(text, &end);
+            if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+              return false;
+            }
+            options.*field = value;
+            return true;
+          }};
+}
+
+template <typename T>
+FlagValue Enum(T CliOptions::*field, Choices<T> choices) {
+  std::string list = ChoiceList(choices);
+  return {"<" + list + ">", list,
+          [field, choices = std::move(choices)](const char* text, CliOptions& options) {
+            return ParseChoice(text, choices, options.*field);
+          }};
+}
+
+Choices<const DatasetSpec*> DatasetChoices() {
+  Choices<const DatasetSpec*> choices;
+  for (const DatasetSpec& spec : AllDatasets()) {
+    choices.emplace_back(spec.name, &spec);
+  }
+  return choices;
+}
+
+// One row per flag: the table drives parsing, the usage text, and the mode
+// gate, so a flag is declared exactly once.
+struct Flag {
+  std::string_view name;
+  FlagValue value;
+  unsigned modes;         // Mode bits where the flag has an effect
+  bool flexiwalker_only;  // reaches only FlexiWalkerOptions
+  const char* help;
+};
+
+const std::vector<Flag>& FlagTable() {
+  using O = CliOptions;
+  static const std::vector<Flag> table = {
+      {"--help", Presence(), kAllModes, false, "print this text and exit (also -h)"},
+      {"--dataset", Enum(&O::dataset, DatasetChoices()), kLocalModes, false,
+       "stand-in dataset (default YT)"},
+      {"--graph", String(&O::graph_path, "<path>"), kLocalModes, false,
+       "edge-list file instead of a dataset"},
+      {"--workload",
+       String(&O::workload,
+              "<node2vec|metapath|2ndpr|deepwalk|ppr|temporal|temporal-decay|autoregressive>"),
+       kLocalModes, false, "walk workload (default node2vec)"},
+      {"--engine",
+       String(&O::engine,
+              "<flexiwalker|flowwalker|nextdoor|csaw|skywalker|thunderrw|knightking|sowalker>"),
+       kLocalModes, false, "walk engine (default flexiwalker; the serving modes need it)"},
+      {"--weights",
+       Enum(&O::weights, Choices<WeightDistribution>{{"uniform", WeightDistribution::kUniform},
+                                                     {"pareto", WeightDistribution::kPareto},
+                                                     {"degree", WeightDistribution::kDegreeBased},
+                                                     {"none", WeightDistribution::kUnweighted}}),
+       kLocalModes, false, "property weights (default uniform)"},
+      {"--alpha", Double(&O::alpha), kLocalModes, false,
+       "Pareto shape when --weights pareto (default 2.0)"},
+      // The wire carries path_stride = length + 1 as a u32.
+      {"--length", Unsigned(&O::length, 0, 0xFFFFFFFEull, "<steps>"), kLocalModes, false,
+       "walk length (default 80)"},
+      {"--queries", Unsigned(&O::queries, 0, 0xFFFFFFFFull), kOneShot, false,
+       "number of start nodes (default: every node)"},
+      {"--threads", Unsigned(&O::threads, 0, kMaxHostWorkers), kLocalModes, false,
+       "host worker threads (default: hardware concurrency; walk paths are identical for "
+       "any value)"},
+      {"--seed", Unsigned(&O::seed, 0, std::numeric_limits<uint64_t>::max()), kAllModes, false,
+       "RNG seed (default 2026; seeds the client's retry backoff under --connect)"},
+      {"--out", String(&O::out_path, "<path>"), kOneShot | kServe | kConnect, false,
+       "write walks, one per line"},
+      {"--wavefront", Unsigned(&O::wavefront, 0, kMaxWavefront), kLocalModes, true,
+       "in-flight walks per worker in the scheduler's batched inner loop (default 0 = "
+       "scheduler default; 1 = walk-at-a-time; paths identical for any width)"},
+      {"--jit",
+       Enum(&O::jit, Choices<jit::JitMode>{{"on", jit::JitMode::kOn},
+                                           {"off", jit::JitMode::kOff},
+                                           {"auto", jit::JitMode::kAuto}}),
+       kLocalModes, true,
+       "compiled step kernels: specialize the workload's step into one dlopen'd function "
+       "cached by program hash (default off; auto compiles in the background and swaps in; "
+       "paths identical compiled or interpreted)"},
+      {"--jit-cache-dir", String(&O::jit_cache_dir, "<path>"), kLocalModes, true,
+       "on-disk .so cache for --jit (default: system temp)"},
+      {"--static-cache", Presence(), kLocalModes, true,
+       "cached static-walk fast path: walk static workloads (deepwalk/unweighted) from "
+       "per-node alias tables"},
+      // 1 GiB ceiling: a larger "block" defeats partitioning and is surely a
+      // typo. The floor is the partitioner's own (block_store.h).
+      {"--block-bytes", Unsigned(&O::block_bytes, kMinBlockBytes, 1ull << 30), kOneShot, true,
+       "out-of-core: partition the graph into <= n-byte edge blocks (default 4 MiB); paths "
+       "identical to the in-memory engine; giving this or --cache-blocks enables the tier"},
+      {"--cache-blocks", Unsigned(&O::cache_blocks, 1, 1ull << 20), kOneShot, true,
+       "out-of-core: resident-block budget (default 4); edge memory is bounded by "
+       "cache-blocks x block-bytes; first-order workloads only"},
+      {"--serve", Presence(), kServe, false,
+       "streaming mode: read batches of start-node ids from stdin, one batch per line, "
+       "until EOF or \"quit\"; see docs/SERVING.md"},
+      {"--pipeline", Unsigned(&O::pipeline, 0, 256), kServe | kListen, false,
+       "in-flight batch depth on the WalkService (default 2)"},
+      {"--listen", Unsigned(&O::listen_port, 0, 65535, "<port>"), kListen, false,
+       "serve over TCP on 127.0.0.1:<port> (0 = ephemeral; the bound port is printed); "
+       "stdin EOF or \"quit\" stops"},
+      // 60 s ceiling: anything longer is surely a typo, not a window.
+      {"--coalesce-us", Unsigned(&O::coalesce_us, 0, 60'000'000), kListen, false,
+       "server request-coalescing window (default 200)"},
+      {"--adaptive-window", Enum(&O::adaptive_window, Choices<bool>{{"on", true}, {"off", false}}),
+       kListen, false,
+       "EWMA-adaptive coalesce window: flush immediately when traffic is sparse (default on)"},
+      {"--max-batch", Unsigned(&O::max_batch, 0, 1ull << 32), kListen, false,
+       "coalescer flush threshold, queries (default 512)"},
+      {"--admit", Unsigned(&O::admit, 0, 1ull << 32), kListen, false,
+       "admission bound, queries pending + in flight (default 65536)"},
+      {"--overflow", Enum(&O::overflow, kOverflowChoices), kListen, false,
+       "backpressure when the bound is hit (default block)"},
+      {"--workloads", String(&O::workloads, "<spec>"), kListen, false,
+       "register extra workloads besides the primary --workload (always id 0): "
+       "comma-separated name[:admit=<n>][:overflow=<block|reject>] entries, e.g. "
+       "deepwalk:admit=1024:overflow=reject,ppr"},
+      {"--drain-ms", Unsigned(&O::drain_ms, 0, 3'600'000), kListen, false,
+       "SIGTERM/SIGINT graceful-drain grace: stop accepting, answer new requests "
+       "\"draining\", let admitted work finish up to <n> ms (default 5000)"},
+      {"--metrics-out", String(&O::metrics_out, "<path>"), kListen, false,
+       "write the metrics registry as Prometheus text on SIGUSR1 and at shutdown"},
+      {"--trace-out", String(&O::trace_out, "<path>"), kListen, false,
+       "record request-lifecycle spans; write Chrome trace_event JSON at shutdown"},
+      {"--connect", String(&O::connect, "<[host:]port>"), kConnect, false,
+       "client mode: send stdin batches to a WalkServer"},
+      {"--workload-id", Unsigned(&O::workload_id, 0, 0xFFFFFFFFull), kConnect, false,
+       "route requests to server workload <n> (default 0; nonzero emits v2 frames)"},
+      // 1 h ceiling, matching --coalesce-us's "surely a typo" convention.
+      {"--deadline-us", Unsigned(&O::deadline_us, 0, 3'600'000'000ull), kConnect, false,
+       "attach an <n>-microsecond latency budget to each request (v3 frames); the server "
+       "sheds lapsed work and answers \"deadline exceeded\""},
+      {"--request-timeout-ms", Unsigned(&O::request_timeout_ms, 0, 3'600'000), kConnect, false,
+       "fail a request locally when no answer arrives within <n> ms (also bounds connect)"},
+      {"--retries", Unsigned(&O::retries, 0, 1000), kConnect, false,
+       "retry transient failures (torn connection, timeout, overloaded/draining/deadline-"
+       "exceeded) up to <n> times with jittered exponential backoff"},
+      {"--stats", Presence(), kConnect, false,
+       "scrape the server's metrics registry, print the Prometheus text, exit"},
   };
+  return table;
+}
+
+const Flag* FindFlag(std::string_view name) {
+  for (const Flag& flag : FlagTable()) {
+    if (flag.name == name) {
+      return &flag;
+    }
+  }
+  return nullptr;
+}
+
+Mode RunMode(const CliOptions& options) {
+  if (options.Given("--connect")) {
+    return kConnect;
+  }
+  if (options.Given("--listen")) {
+    return kListen;
+  }
+  return options.Given("--serve") ? kServe : kOneShot;
+}
+
+std::string ModeNames(unsigned modes) {
+  static const std::pair<Mode, const char*> kNames[] = {
+      {kOneShot, "one-shot"}, {kServe, "--serve"}, {kListen, "--listen"}, {kConnect, "--connect"}};
+  std::string names;
+  for (const auto& [mode, name] : kNames) {
+    if ((modes & mode) != 0) {
+      names += (names.empty() ? "" : "/") + std::string(name);
+    }
+  }
+  return names;
+}
+
+// Prints `text` word-wrapped to `width` columns, continuation lines
+// indented by `indent`.
+void PrintWrapped(const std::string& text, size_t indent, size_t width) {
+  std::istringstream words(text);
+  std::string word;
+  size_t column = indent;
+  bool first = true;
+  while (words >> word) {
+    if (!first && column + 1 + word.size() > width) {
+      std::printf("\n%*s", static_cast<int>(indent), "");
+      column = indent;
+      first = true;
+    }
+    std::printf("%s%s", first ? "" : " ", word.c_str());
+    column += word.size() + (first ? 0 : 1);
+    first = false;
+  }
+  std::printf("\n");
+}
+
+void PrintUsage() {
+  std::printf(
+      "flexiwalker_cli — run dynamic random walks\n\n"
+      "modes: one-shot (default), --serve, --listen, --connect. A flag given in a mode (or\n"
+      "with an --engine) where it has no effect is a usage error.\n\n");
+  constexpr size_t kHelpColumn = 28;
+  for (const Flag& flag : FlagTable()) {
+    std::string left = "  " + std::string(flag.name);
+    if (flag.value.store) {
+      left += " " + flag.value.metavar;
+    }
+    std::string help = flag.help;
+    if (!flag.value.want.empty() && flag.value.metavar.find(flag.value.want) == std::string::npos) {
+      help += " (" + flag.value.want + ")";
+    }
+    help += " [" + ModeNames(flag.modes) + (flag.flexiwalker_only ? "; flexiwalker" : "") + "]";
+    if (left.size() + 1 > kHelpColumn) {
+      std::printf("%s\n%*s", left.c_str(), static_cast<int>(kHelpColumn), "");
+    } else {
+      std::printf("%-*s", static_cast<int>(kHelpColumn), left.c_str());
+    }
+    PrintWrapped(help, kHelpColumn, 100);
+  }
+  std::printf("exit codes: 0 ok | %d usage | %d unsupported engine | %d malformed input\n",
+              kExitUsage, kExitUnsupportedEngine, kExitMalformedInput);
+}
+
+bool ParseArgs(int argc, char** argv, CliOptions& options) {
   for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      options.help = true;
+    std::string_view arg = argv[i];
+    const Flag* flag = FindFlag(arg == "-h" ? "--help" : arg);
+    if (flag == nullptr) {
+      std::fprintf(stderr, "unknown flag: %s (try --help)\n", argv[i]);
+      return false;
+    }
+    options.given.insert(flag->name);
+    if (flag->name == "--help") {
       return true;
     }
-    if (arg == "--serve") {
-      options.serve = true;
+    if (!flag->value.store) {
       continue;
     }
-    if (arg == "--static-cache") {
-      options.static_cache = true;
-      continue;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", argv[i]);
+      return false;
     }
-    if (arg == "--stats") {
-      options.stats = true;
-      continue;
-    }
-    auto needs_value = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (auto it = string_flags.find(arg); it != string_flags.end()) {
-      const char* value = needs_value(arg.c_str());
-      if (value == nullptr) {
-        return false;
-      }
-      *it->second = value;
-      if (arg == "--steal") {
-        options.dispense_set = true;
-      } else if (arg == "--adaptive-window") {
-        options.adaptive_window_set = true;
-      } else if (arg == "--jit") {
-        options.jit_set = true;
-      } else if (arg == "--jit-cache-dir") {
-        options.jit_cache_dir_set = true;
-      }
-    } else if (arg == "--alpha") {
-      const char* value = needs_value("--alpha");
-      if (value == nullptr) {
-        return false;
-      }
-      options.alpha = std::atof(value);
-    } else if (arg == "--length") {
-      const char* value = needs_value("--length");
-      if (value == nullptr) {
-        return false;
-      }
-      options.length = static_cast<uint32_t>(std::atoi(value));
-    } else if (arg == "--queries") {
-      const char* value = needs_value("--queries");
-      if (value == nullptr) {
-        return false;
-      }
-      options.queries = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--threads") {
-      const char* value = needs_value("--threads");
-      if (value == nullptr) {
-        return false;
-      }
-      options.threads = static_cast<unsigned>(std::atoi(value));
-    } else if (arg == "--seed") {
-      const char* value = needs_value("--seed");
-      if (value == nullptr) {
-        return false;
-      }
-      options.seed = static_cast<uint64_t>(std::atoll(value));
-    } else if (arg == "--chunk") {
-      const char* value = needs_value("--chunk");
-      unsigned long long chunk = 0;
-      // The queue clamps chunks to kMaxDispenseChunk; reject rather than
-      // silently shrink a wild request.
-      if (value == nullptr || !ParseUnsignedFlag("--chunk", value, kMaxDispenseChunk, chunk)) {
-        return false;
-      }
-      options.chunk = static_cast<unsigned>(chunk);
-      options.dispense_set = true;
-    } else if (arg == "--wavefront") {
-      const char* value = needs_value("--wavefront");
-      unsigned long long wavefront = 0;
-      // The scheduler clamps widths to kMaxWavefront; reject rather than
-      // silently shrink a wild request (matching --chunk).
-      if (value == nullptr ||
-          !ParseUnsignedFlag("--wavefront", value, kMaxWavefront, wavefront)) {
-        return false;
-      }
-      options.wavefront = static_cast<unsigned>(wavefront);
-      options.wavefront_set = true;
-    } else if (arg == "--block-bytes") {
-      const char* value = needs_value("--block-bytes");
-      unsigned long long bytes = 0;
-      // 1 GiB ceiling: a larger "block" defeats partitioning and is surely
-      // a typo, not a budget.
-      if (value == nullptr || !ParseUnsignedFlag("--block-bytes", value, 1ull << 30, bytes)) {
-        return false;
-      }
-      if (bytes < kMinBlockBytes) {
-        // The partitioner enforces the same floor (block_store.h) — a block
-        // must hold at least one full max-degree-bounded row header.
-        std::fprintf(stderr, "bad value for --block-bytes: %s (minimum %zu)\n", value,
-                     kMinBlockBytes);
-        return false;
-      }
-      options.block_bytes = static_cast<size_t>(bytes);
-      options.out_of_core = true;
-    } else if (arg == "--cache-blocks") {
-      const char* value = needs_value("--cache-blocks");
-      unsigned long long blocks = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--cache-blocks", value, 1ull << 20, blocks)) {
-        return false;
-      }
-      if (blocks == 0) {
-        std::fprintf(stderr,
-                     "bad value for --cache-blocks: 0 (the cache must hold at least one block)\n");
-        return false;
-      }
-      options.cache_blocks = static_cast<uint32_t>(blocks);
-      options.out_of_core = true;
-    } else if (arg == "--listen") {
-      const char* value = needs_value("--listen");
-      unsigned long long port = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--listen", value, 65535, port)) {
-        return false;
-      }
-      options.listen_port = static_cast<int>(port);
-    } else if (arg == "--coalesce-us") {
-      const char* value = needs_value("--coalesce-us");
-      unsigned long long us = 0;
-      // 60s ceiling: anything longer is surely a typo, not a window.
-      if (value == nullptr || !ParseUnsignedFlag("--coalesce-us", value, 60'000'000ull, us)) {
-        return false;
-      }
-      options.coalesce_us = static_cast<unsigned>(us);
-    } else if (arg == "--max-batch") {
-      const char* value = needs_value("--max-batch");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--max-batch", value, 1ull << 32, n)) {
-        return false;
-      }
-      options.max_batch = static_cast<size_t>(n);
-    } else if (arg == "--admit") {
-      const char* value = needs_value("--admit");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--admit", value, 1ull << 32, n)) {
-        return false;
-      }
-      options.admit = static_cast<size_t>(n);
-    } else if (arg == "--pipeline") {
-      const char* value = needs_value("--pipeline");
-      unsigned long long depth = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--pipeline", value, 256, depth)) {
-        return false;
-      }
-      options.pipeline = static_cast<unsigned>(depth);
-    } else if (arg == "--workload-id") {
-      const char* value = needs_value("--workload-id");
-      unsigned long long id = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--workload-id", value, 0xFFFFFFFFull, id)) {
-        return false;
-      }
-      options.workload_id = static_cast<uint32_t>(id);
-      options.workload_id_set = true;
-    } else if (arg == "--deadline-us") {
-      const char* value = needs_value("--deadline-us");
-      unsigned long long us = 0;
-      // 1h ceiling, matching --coalesce-us's "surely a typo" convention.
-      if (value == nullptr || !ParseUnsignedFlag("--deadline-us", value, 3'600'000'000ull, us)) {
-        return false;
-      }
-      options.deadline_us = us;
-      options.deadline_us_set = true;
-    } else if (arg == "--request-timeout-ms") {
-      const char* value = needs_value("--request-timeout-ms");
-      unsigned long long ms = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--request-timeout-ms", value, 3'600'000ull, ms)) {
-        return false;
-      }
-      options.request_timeout_ms = static_cast<unsigned>(ms);
-      options.request_timeout_set = true;
-    } else if (arg == "--retries") {
-      const char* value = needs_value("--retries");
-      unsigned long long n = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--retries", value, 1000, n)) {
-        return false;
-      }
-      options.retries = static_cast<unsigned>(n);
-      options.retries_set = true;
-    } else if (arg == "--drain-ms") {
-      const char* value = needs_value("--drain-ms");
-      unsigned long long ms = 0;
-      if (value == nullptr || !ParseUnsignedFlag("--drain-ms", value, 3'600'000ull, ms)) {
-        return false;
-      }
-      options.drain_ms = static_cast<unsigned>(ms);
-      options.drain_ms_set = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg.c_str());
+    const char* text = argv[++i];
+    if (!flag->value.store(text, options)) {
+      std::fprintf(stderr, "bad value for %s: %s (want %s)\n", argv[i - 1], text,
+                   flag->value.want.c_str());
       return false;
     }
   }
-  if (!jit::ParseJitMode(options.jit, &options.jit_mode)) {
-    std::fprintf(stderr, "bad value for --jit: %s (want on|off|auto)\n", options.jit.c_str());
-    return false;
-  }
-  // Resolve the on|off flags once, here, so every consumer reads one bool
-  // instead of re-deriving the mapping from the raw text.
-  return ParseOnOff("--steal", options.steal, options.steal_on) &&
-         ParseOnOff("--adaptive-window", options.adaptive_window, options.adaptive_window_on);
+  return true;
 }
 
-// --steal was parsed into steal_on by ParseArgs; --chunk range-checked too.
-DispenseOptions MakeDispense(const CliOptions& options) {
-  DispenseOptions dispense;
-  dispense.chunk_size = options.chunk;
-  dispense.mode = options.steal_on ? DispenseMode::kChunkedSteal : DispenseMode::kChunked;
-  return dispense;
+// The mode gate: every given flag must have an effect in this run.
+bool FlagsApply(const CliOptions& options) {
+  const Mode mode = RunMode(options);
+  const bool flexiwalker = options.engine == "flexiwalker";
+  for (const Flag& flag : FlagTable()) {
+    if (!options.Given(flag.name) ||
+        ((flag.modes & mode) != 0 && (flexiwalker || !flag.flexiwalker_only))) {
+      continue;
+    }
+    std::string run = ModeNames(mode);
+    if (mode != kConnect) {
+      run += ", --engine " + options.engine;
+    }
+    std::fprintf(stderr, "%s applies only to %s runs%s (this run: %s)\n",
+                 std::string(flag.name).c_str(), ModeNames(flag.modes).c_str(),
+                 flag.flexiwalker_only ? " with --engine flexiwalker" : "", run.c_str());
+    return false;
+  }
+  return true;
+}
+
+// The one FlexiWalkerOptions every mode runs with.
+FlexiWalkerOptions MakeFlexiOptions(const CliOptions& options) {
+  FlexiWalkerOptions engine_options;
+  engine_options.host_threads = options.threads;
+  engine_options.cache_static_tables = options.Given("--static-cache");
+  engine_options.wavefront = options.wavefront;
+  engine_options.jit = options.jit;
+  engine_options.jit_cache_dir = options.jit_cache_dir;
+  return engine_options;
 }
 
 std::unique_ptr<WalkLogic> MakeWorkload(const CliOptions& options) {
@@ -510,12 +516,7 @@ std::unique_ptr<WalkLogic> MakeWorkload(const CliOptions& options) {
 std::unique_ptr<Engine> MakeEngine(const CliOptions& options) {
   const std::string& name = options.engine;
   if (name == "flexiwalker") {
-    FlexiWalkerOptions engine_options;
-    engine_options.dispense = MakeDispense(options);
-    engine_options.wavefront = options.wavefront;
-    engine_options.jit = options.jit_mode;
-    engine_options.jit_cache_dir = options.jit_cache_dir;
-    return std::make_unique<FlexiWalkerEngine>(engine_options);
+    return std::make_unique<FlexiWalkerEngine>(MakeFlexiOptions(options));
   }
   if (name == "flowwalker") {
     return std::make_unique<FlowWalkerEngine>();
@@ -594,15 +595,8 @@ int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& worklo
                  options.engine.c_str());
     return kExitUnsupportedEngine;
   }
-  FlexiWalkerOptions engine_options;
-  engine_options.host_threads = options.threads;
-  engine_options.cache_static_tables = options.static_cache;
-  engine_options.dispense = MakeDispense(options);
-  engine_options.wavefront = options.wavefront;
-  engine_options.jit = options.jit_mode;
-  engine_options.jit_cache_dir = options.jit_cache_dir;
-  auto service =
-      MakeFlexiWalkerService(graph, workload, engine_options, options.seed, options.pipeline);
+  auto service = MakeFlexiWalkerService(graph, workload, MakeFlexiOptions(options), options.seed,
+                                        options.pipeline);
   std::printf("serving on %u workers | one batch per line of start-node ids | EOF or \"quit\" ends\n",
               service->num_threads());
 
@@ -664,7 +658,7 @@ int Serve(const CliOptions& options, const Graph& graph, const WalkLogic& worklo
 struct WorkloadSpec {
   std::string name;
   size_t admit = 0;
-  std::string overflow;
+  BatchCoalescer::OverflowPolicy overflow = BatchCoalescer::OverflowPolicy::kBlock;
 };
 
 // Parses "name[:admit=<n>][:overflow=<block|reject>],..." — every name must
@@ -694,18 +688,16 @@ bool ParseWorkloadSpecs(const CliOptions& options, std::vector<WorkloadSpec>& sp
       std::string suffix = entry.substr(field, colon == std::string::npos ? std::string::npos
                                                                           : colon - field);
       if (suffix.rfind("admit=", 0) == 0) {
-        unsigned long long n = 0;
-        if (!ParseUnsignedFlag("--workloads admit", suffix.c_str() + 6, 1ull << 32, n) ||
-            n == 0) {
+        uint64_t n = 0;
+        if (!ParseUnsigned(suffix.c_str() + 6, 1, 1ull << 32, n)) {
           std::fprintf(stderr, "bad --workloads entry: %s\n", entry.c_str());
           return false;
         }
         spec.admit = static_cast<size_t>(n);
       } else if (suffix.rfind("overflow=", 0) == 0) {
-        spec.overflow = suffix.substr(9);
-        if (spec.overflow != "block" && spec.overflow != "reject") {
-          std::fprintf(stderr, "bad --workloads entry: %s (overflow wants block|reject)\n",
-                       entry.c_str());
+        if (!ParseChoice(std::string_view(suffix).substr(9), kOverflowChoices, spec.overflow)) {
+          std::fprintf(stderr, "bad --workloads entry: %s (overflow wants %s)\n", entry.c_str(),
+                       ChoiceList(kOverflowChoices).c_str());
           return false;
         }
       } else {
@@ -759,13 +751,8 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
                  options.engine.c_str());
     return kExitUnsupportedEngine;
   }
-  if (options.overflow != "block" && options.overflow != "reject") {
-    std::fprintf(stderr, "unknown --overflow value: %s (want block|reject)\n",
-                 options.overflow.c_str());
-    return kExitUsage;
-  }
   std::vector<WorkloadSpec> specs;
-  if (!options.workloads.empty() && !ParseWorkloadSpecs(options, specs)) {
+  if (options.Given("--workloads") && !ParseWorkloadSpecs(options, specs)) {
     return kExitUsage;
   }
   // Telemetry and signal setup, before any serving thread spawns: the
@@ -786,25 +773,17 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   std::thread signal_thread;
   std::atomic<bool> signal_thread_stop{false};
   std::atomic<bool> drain_requested{false};
-  FlexiWalkerOptions engine_options;
-  engine_options.host_threads = options.threads;
-  engine_options.cache_static_tables = options.static_cache;
-  engine_options.dispense = MakeDispense(options);
-  engine_options.wavefront = options.wavefront;
-  engine_options.jit = options.jit_mode;
-  engine_options.jit_cache_dir = options.jit_cache_dir;
+  const FlexiWalkerOptions engine_options = MakeFlexiOptions(options);
   auto service =
       MakeFlexiWalkerService(graph, workload, engine_options, options.seed, options.pipeline);
 
   WalkServer::Options server_options;
-  server_options.port = static_cast<uint16_t>(options.listen_port);
+  server_options.port = options.listen_port;
   server_options.coalescer.max_delay_ms = options.coalesce_us / 1000.0;
-  server_options.coalescer.adaptive_window = options.adaptive_window_on;
+  server_options.coalescer.adaptive_window = options.adaptive_window;
   server_options.coalescer.max_batch_queries = options.max_batch;
   server_options.coalescer.max_outstanding_queries = options.admit;
-  server_options.coalescer.overflow = options.overflow == "reject"
-                                          ? BatchCoalescer::OverflowPolicy::kReject
-                                          : BatchCoalescer::OverflowPolicy::kBlock;
+  server_options.coalescer.overflow = options.overflow;
   WalkServer server(*service, graph.num_nodes(), server_options);
 
   // Extra workloads share the graph and engine configuration but get their
@@ -821,11 +800,10 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
                                                     options.seed + i + 1, options.pipeline));
     BatchCoalescer::Options admission = server_options.coalescer;
     admission.max_outstanding_queries = spec.admit;
-    admission.overflow = spec.overflow == "reject" ? BatchCoalescer::OverflowPolicy::kReject
-                                                   : BatchCoalescer::OverflowPolicy::kBlock;
+    admission.overflow = spec.overflow;
     uint32_t id = server.RegisterWorkload(spec.name, *extra_services.back(), admission);
     std::printf("workload %u: %s | admit %zu | overflow %s\n", id, spec.name.c_str(), spec.admit,
-                spec.overflow.c_str());
+                OverflowName(spec.overflow));
   }
 
   auto shutdown_services = [&] {
@@ -893,7 +871,7 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
       "listening on 127.0.0.1:%u | %u workers | coalesce window %u us | max batch %zu | "
       "pipeline %u | overflow %s | EOF or \"quit\" stops\n",
       server.port(), service->num_threads(), options.coalesce_us, options.max_batch,
-      service->pipeline_depth(), options.overflow.c_str());
+      service->pipeline_depth(), OverflowName(options.overflow));
   std::fflush(stdout);
 
   // Wait for an operator stop — stdin EOF or "quit" (interactive and script
@@ -944,8 +922,8 @@ int Client(const CliOptions& options) {
     host = options.connect.substr(0, colon);
     port_text = options.connect.substr(colon + 1);
   }
-  int port = std::atoi(port_text.c_str());
-  if (port <= 0 || port > 65535) {
+  uint64_t port = 0;
+  if (!ParseUnsigned(port_text.c_str(), 1, 65535, port)) {
     std::fprintf(stderr, "bad --connect port: %s\n", options.connect.c_str());
     return kExitUsage;
   }
@@ -957,12 +935,13 @@ int Client(const CliOptions& options) {
   WalkClient client(client_options);
   std::string error;
   if (!client.Connect(host, static_cast<uint16_t>(port), &error)) {
-    std::fprintf(stderr, "cannot connect to %s:%d: %s\n", host.c_str(), port, error.c_str());
+    std::fprintf(stderr, "cannot connect to %s:%u: %s\n", host.c_str(),
+                 static_cast<unsigned>(port), error.c_str());
     return kExitUsage;
   }
   // --stats: one scrape, print the Prometheus text verbatim, done. Scripts
   // pipe this through grep (scripts/ci smoke, docs/OBSERVABILITY.md).
-  if (options.stats) {
+  if (options.Given("--stats")) {
     try {
       std::string text = client.FetchStats();
       std::fwrite(text.data(), 1, text.size(), stdout);
@@ -1026,93 +1005,35 @@ int Client(const CliOptions& options) {
 }
 
 int Run(const CliOptions& options) {
-  // The coalescer — and therefore the adaptive window — exists only in the
-  // TCP server; reject rather than silently ignore the flag elsewhere.
-  if (options.adaptive_window_set && options.listen_port < 0) {
-    std::fprintf(stderr, "--adaptive-window applies only to --listen mode\n");
+  if (!FlagsApply(options)) {
     return kExitUsage;
-  }
-  // Workload registration exists only on the TCP server; workload routing
-  // only in the client. Reject rather than ignore.
-  if (!options.workloads.empty() && options.listen_port < 0) {
-    std::fprintf(stderr, "--workloads applies only to --listen mode\n");
-    return kExitUsage;
-  }
-  if (options.workload_id_set && options.connect.empty()) {
-    std::fprintf(stderr, "--workload-id applies only to --connect mode\n");
-    return kExitUsage;
-  }
-  if (options.stats && options.connect.empty()) {
-    std::fprintf(stderr, "--stats applies only to --connect mode\n");
-    return kExitUsage;
-  }
-  if ((!options.metrics_out.empty() || !options.trace_out.empty()) && options.listen_port < 0) {
-    std::fprintf(stderr, "--metrics-out/--trace-out apply only to --listen mode\n");
-    return kExitUsage;
-  }
-  // Deadlines, local timeouts, and retries are client-side request options;
-  // the drain grace belongs to the server. Reject rather than ignore.
-  if ((options.deadline_us_set || options.request_timeout_set || options.retries_set) &&
-      options.connect.empty()) {
-    std::fprintf(stderr,
-                 "--deadline-us/--request-timeout-ms/--retries apply only to --connect mode\n");
-    return kExitUsage;
-  }
-  if (options.drain_ms_set && options.listen_port < 0) {
-    std::fprintf(stderr, "--drain-ms applies only to --listen mode\n");
-    return kExitUsage;
-  }
-  // The out-of-core tier exists only behind the flexiwalker engine (the
-  // baselines have no block-cached path) and only for one-shot runs — the
-  // serving modes keep the graph resident for the process lifetime, so a
-  // block cache would bound nothing.
-  if (options.out_of_core) {
-    if (options.engine != "flexiwalker") {
-      std::fprintf(stderr,
-                   "--block-bytes/--cache-blocks apply only to --engine flexiwalker "
-                   "(got --engine %s)\n",
-                   options.engine.c_str());
-      return kExitUsage;
-    }
-    if (options.serve || options.listen_port >= 0 || !options.connect.empty()) {
-      std::fprintf(stderr,
-                   "--block-bytes/--cache-blocks apply only to one-shot runs "
-                   "(not --serve/--listen/--connect)\n");
-      return kExitUsage;
-    }
   }
   // Client mode talks to a remote server: no graph, workload, or engine is
   // built locally (the server validates start ids against its own graph).
-  if (!options.connect.empty()) {
+  const Mode mode = RunMode(options);
+  if (mode == kConnect) {
     return Client(options);
   }
   // Every engine executes through the WalkScheduler; this sets its
   // process-wide worker count (0 keeps the hardware default).
   SetDefaultWorkerThreads(options.threads);
 
-  WeightDistribution dist = WeightDistribution::kUniform;
-  if (options.weights == "pareto") {
-    dist = WeightDistribution::kPareto;
-  } else if (options.weights == "degree") {
-    dist = WeightDistribution::kDegreeBased;
-  } else if (options.weights == "none") {
-    dist = WeightDistribution::kUnweighted;
-  } else if (options.weights != "uniform") {
-    std::fprintf(stderr, "unknown --weights value: %s\n", options.weights.c_str());
-    return 1;
-  }
-
   Graph graph;
   if (!options.graph_path.empty()) {
-    graph = ReadEdgeListFile(options.graph_path);
-    if (!graph.weighted() && dist != WeightDistribution::kUnweighted) {
-      AssignWeights(graph, dist, options.alpha, options.seed + 1);
+    try {
+      graph = ReadEdgeListFile(options.graph_path);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "cannot read --graph: %s\n", e.what());
+      return kExitUsage;
+    }
+    if (!graph.weighted() && options.weights != WeightDistribution::kUnweighted) {
+      AssignWeights(graph, options.weights, options.alpha, options.seed + 1);
     }
     if (!graph.labeled()) {
       AssignLabels(graph, 5, options.seed + 2);
     }
   } else {
-    graph = LoadDataset(DatasetByName(options.dataset), dist, options.alpha);
+    graph = LoadDataset(*options.dataset, options.weights, options.alpha);
   }
   if ((options.workload == "temporal" || options.workload == "temporal-decay") &&
       !graph.temporal()) {
@@ -1124,24 +1045,11 @@ int Run(const CliOptions& options) {
     std::fprintf(stderr, "unknown --workload: %s\n", options.workload.c_str());
     return 1;
   }
-  if (options.listen_port >= 0) {
+  if (mode == kListen) {
     return Listen(options, graph, *workload);
   }
-  if (options.serve) {
+  if (mode == kServe) {
     return Serve(options, graph, *workload);
-  }
-  // The baseline engines build their own SchedulerOptions internally, so
-  // the dispensation/wavefront flags cannot reach them; reject rather than
-  // silently run with the defaults the user just tried to override.
-  if ((options.dispense_set || options.wavefront_set || options.jit_set ||
-       options.jit_cache_dir_set) &&
-      options.engine != "flexiwalker") {
-    std::fprintf(stderr,
-                 "--chunk/--steal/--wavefront/--jit/--jit-cache-dir apply only to "
-                 "--engine flexiwalker (they tune both its execution tiers, the in-memory "
-                 "scheduler and the out-of-core block executor; got --engine %s)\n",
-                 options.engine.c_str());
-    return kExitUsage;
   }
   std::unique_ptr<Engine> engine = MakeEngine(options);
   if (engine == nullptr) {
@@ -1154,13 +1062,14 @@ int Run(const CliOptions& options) {
     starts.resize(options.queries);
   }
 
+  const bool out_of_core = options.Given("--block-bytes") || options.Given("--cache-blocks");
   std::printf(
       "graph: %u nodes / %llu edges | workload: %s | engine: %s%s | queries: %zu | threads: %u\n",
       graph.num_nodes(), static_cast<unsigned long long>(graph.num_edges()),
-      workload->name().c_str(), engine->name().c_str(),
-      options.out_of_core ? " (out-of-core)" : "", starts.size(), DefaultWorkerThreads());
+      workload->name().c_str(), engine->name().c_str(), out_of_core ? " (out-of-core)" : "",
+      starts.size(), DefaultWorkerThreads());
   WalkResult result;
-  if (options.out_of_core) {
+  if (out_of_core) {
     // Partition to a throwaway block file and walk it under the bounded
     // cache. The cost ratio is pinned: profiling samples the whole graph,
     // which is exactly what out-of-core execution cannot assume is
@@ -1169,11 +1078,7 @@ int Run(const CliOptions& options) {
         "/tmp/flexiwalker_cli_" + std::to_string(getpid()) + ".blk";
     size_t blocks = PartitionToBlockFile(graph, block_path, options.block_bytes);
     BlockStore store = BlockStore::Open(block_path);
-    FlexiWalkerOptions engine_options;
-    engine_options.dispense = MakeDispense(options);
-    engine_options.wavefront = options.wavefront;
-    engine_options.jit = options.jit_mode;
-    engine_options.jit_cache_dir = options.jit_cache_dir;
+    FlexiWalkerOptions engine_options = MakeFlexiOptions(options);
     engine_options.edge_cost_ratio = 4.0;
     OutOfCoreStats ooc_stats;
     std::printf("out-of-core   : %zu blocks of <= %zu bytes | cache %u blocks (%.2f MiB budget)\n",
@@ -1185,7 +1090,8 @@ int Run(const CliOptions& options) {
                                        starts, options.seed, &ooc_stats);
     } catch (const std::invalid_argument& e) {
       // Second-order workloads (node2vec, 2ndpr) probe the previous node's
-      // row, which block residency of the current node cannot serve.
+      // row, which block residency of the current node cannot serve; the
+      // static-table and INT8 paths need the whole graph up front.
       std::fprintf(stderr, "out-of-core run rejected: %s\n", e.what());
       std::remove(block_path.c_str());
       return kExitUsage;
@@ -1239,7 +1145,7 @@ int main(int argc, char** argv) {
   if (!flexi::ParseArgs(argc, argv, options)) {
     return 1;
   }
-  if (options.help) {
+  if (options.Given("--help")) {
     flexi::PrintUsage();
     return 0;
   }

@@ -39,10 +39,10 @@ struct FlexiWalkerOptions {
   // Host worker threads for the WalkScheduler (0 = process default). Walk
   // paths are bit-identical for any value — see scheduler.h.
   unsigned host_threads = 0;
-  // Query-id dispensation (query_queue.h): chunked claiming with bounded
-  // stealing by default. Like host_threads, any setting leaves walk paths
-  // bit-identical; the CLI's --chunk/--steal flags land here.
-  DispenseOptions dispense;
+  // Query-id dispensation (query_queue.h): adaptive chunked claiming with
+  // bounded stealing by default, per-query ticketing as the §5.3 reference.
+  // Like host_threads, either mode leaves walk paths bit-identical.
+  DispenseMode dispense = DispenseMode::kChunkedSteal;
   // Wavefront width for the scheduler's batched inner loop (scheduler.h):
   // in-flight walks each worker advances per pass. 0 = kDefaultWavefront,
   // 1 = walk-at-a-time. Any width leaves walk paths bit-identical; the

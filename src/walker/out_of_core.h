@@ -49,7 +49,7 @@ struct OutOfCoreOptions {
   uint32_t wavefront = 0;
   // Dispensation of a block's parked-walk buffer across workers; same modes
   // and determinism guarantees as the in-memory tier (query_queue.h).
-  DispenseOptions dispense;
+  DispenseMode dispense = DispenseMode::kChunkedSteal;
   uint64_t query_id_offset = 0;
   DeviceProfile profile = DeviceProfile::SimulatedGpu();
   const PreprocessedData* preprocessed = nullptr;

@@ -7,26 +7,27 @@
 // Dispensation modes (SchedulerOptions picks; the default is chunked with
 // stealing):
 //
-//   kPerQuery      the original design: one fetch_add on the global counter
-//                  per query. Simple, but at high core counts the counter's
-//                  cache line bounces between every worker on every query.
-//   kChunked       workers claim contiguous ranges of K ids per global RMW
-//                  and drain them from a private, cache-line-isolated
-//                  cursor: the hot loop touches only worker-local state and
-//                  the global atomic is hit O(total / K) times.
-//   kChunkedSteal  kChunked plus bounded work-stealing: a worker whose own
-//                  chunk drains after the global counter is exhausted takes
-//                  the back half of a victim's remaining range, so one slow
+//   kPerQuery      the paper's literal design: one fetch_add on the global
+//                  counter per query. Simple, but at high core counts the
+//                  counter's cache line bounces between every worker on
+//                  every query. The parity matrices compare against it.
+//   kChunkedSteal  workers claim contiguous ranges of ids per global RMW —
+//                  max(1, remaining / (workers * 8)), capped at
+//                  kMaxDispenseChunk, so early claims are big and late ones
+//                  shrink toward 1 — and drain them from a private,
+//                  cache-line-isolated cursor. A worker whose own chunk
+//                  drains after the global counter is exhausted takes the
+//                  back half of a victim's remaining range, so one slow
 //                  worker holding a large chunk can't serialize the tail.
 //
 // Determinism: a query's randomness and its path row are keyed by its global
 // id alone (scheduler.h), so which worker dispenses an id — and in what
 // order — cannot affect any walk. Paths are bit-identical across modes,
-// chunk sizes, steal schedules, and thread counts; scheduler_test.cc proves
-// it over the full matrix. The same modes drive both execution tiers: the
-// in-memory WalkScheduler dispenses start nodes directly, and the
-// out-of-core driver (out_of_core.cc) dispenses a resident block's
-// parked-walk buffer through the index-only constructor.
+// steal schedules, and thread counts; scheduler_test.cc proves it over the
+// full matrix. The same modes drive both execution tiers: the in-memory
+// WalkScheduler dispenses start nodes directly, and the out-of-core driver
+// (out_of_core.cc) dispenses a resident block's parked-walk buffer through
+// the index-only constructor.
 #ifndef FLEXIWALKER_SRC_WALKER_QUERY_QUEUE_H_
 #define FLEXIWALKER_SRC_WALKER_QUERY_QUEUE_H_
 
@@ -43,22 +44,12 @@ namespace flexi {
 
 enum class DispenseMode : uint8_t {
   kPerQuery,      // one global fetch_add per query (the paper's literal design)
-  kChunked,       // chunked claiming from the global counter
-  kChunkedSteal,  // chunked claiming + bounded stealing between workers
+  kChunkedSteal,  // adaptive chunked claiming + bounded stealing between workers
 };
 
-// Hard ceiling on one claimed chunk. Bounds the tail imbalance a fixed chunk
-// size can cause (without stealing, a worker can be left holding at most
-// this many queries while the others idle).
+// Hard ceiling on one claimed chunk: bounds how many queries a single claim
+// can pull off the global counter before the others get a turn.
 inline constexpr uint32_t kMaxDispenseChunk = 1024;
-
-struct DispenseOptions {
-  DispenseMode mode = DispenseMode::kChunkedSteal;
-  // Ids per global claim. 0 = adaptive: max(1, remaining / (workers * 8)),
-  // so early claims are big (few global RMWs) and late claims shrink toward
-  // 1 (tail balance). Any value is clamped to [1, kMaxDispenseChunk].
-  uint32_t chunk_size = 0;
-};
 
 class QueryQueue {
  public:
@@ -72,8 +63,8 @@ class QueryQueue {
   // semantics so direct users of the queue see no behavior change; the
   // WalkScheduler passes its worker count and SchedulerOptions::dispense.
   explicit QueryQueue(std::span<const NodeId> starts, unsigned workers = 1,
-                      DispenseOptions options = {DispenseMode::kPerQuery, 0})
-      : starts_(starts.begin(), starts.end()), count_(starts.size()), options_(options) {
+                      DispenseMode mode = DispenseMode::kPerQuery)
+      : starts_(starts.begin(), starts.end()), count_(starts.size()), mode_(mode) {
     Init(workers);
   }
 
@@ -82,15 +73,15 @@ class QueryQueue {
   // unchanged — this is how the out-of-core driver (out_of_core.cc)
   // dispenses a resident block's parked-walk buffer, whose entries carry
   // their own start state, so both execution tiers share one dispensation
-  // subsystem (and the same DispenseOptions validation at the CLI).
+  // subsystem.
   explicit QueryQueue(uint64_t count, unsigned workers = 1,
-                      DispenseOptions options = {DispenseMode::kPerQuery, 0})
-      : count_(count), options_(options) {
+                      DispenseMode mode = DispenseMode::kPerQuery)
+      : count_(count), mode_(mode) {
     Init(workers);
   }
 
   // Thread-safe: each call returns a distinct query until the queue drains.
-  // `worker` selects the caller's chunk cursor. In the chunked modes each
+  // `worker` selects the caller's chunk cursor. In kChunkedSteal each
   // worker index must have at most one concurrent caller (the scheduler
   // gives every pool worker its own index): the owner's pop is an
   // unconditional fetch_add on its cursor, sound only because nobody else
@@ -112,7 +103,7 @@ class QueryQueue {
   // published to the draining thread by the scheduler's job-completion
   // handshake, which is a full happens-before edge.
   std::optional<Query> Next(unsigned worker = 0) {
-    if (options_.mode == DispenseMode::kPerQuery) {
+    if (mode_ == DispenseMode::kPerQuery) {
       uint64_t id = counter_.fetch_add(1, std::memory_order_relaxed);
       if (id >= count_) {
         return std::nullopt;
@@ -127,7 +118,7 @@ class QueryQueue {
       if (RefillFromGlobal(w)) {
         continue;
       }
-      if (options_.mode != DispenseMode::kChunkedSteal || !StealInto(w)) {
+      if (!StealInto(w)) {
         return std::nullopt;
       }
     }
@@ -136,7 +127,7 @@ class QueryQueue {
   size_t size() const { return count_; }
 
   // Number of queries actually handed out of the global counter so far
-  // (into workers' private cursors in the chunked modes), clamped to
+  // (into workers' private cursors in kChunkedSteal), clamped to
   // size(). Safe for any user-facing progress or dispatch-count number:
   // never exceeds 100% even while racing claimants overshoot the raw ticket
   // counter on an empty queue.
@@ -153,7 +144,7 @@ class QueryQueue {
   // observability number: paths never depend on it.
   uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
 
-  // Global claims that refilled a worker cursor (chunked modes). The
+  // Global claims that refilled a worker cursor (kChunkedSteal). The
   // contention the chunking exists to cut: per-query dispatch performs
   // size() global RMWs, chunked dispatch performs refills() ≈ size() / K.
   uint64_t refills() const { return refills_.load(std::memory_order_relaxed); }
@@ -166,9 +157,9 @@ class QueryQueue {
     // wrap boundary: a queue at or past 2^31 ids (never seen in practice)
     // falls back to per-query mode, which has no packed words at all.
     if (count_ >= (uint64_t{1} << 31)) {
-      options_.mode = DispenseMode::kPerQuery;
+      mode_ = DispenseMode::kPerQuery;
     }
-    if (options_.mode != DispenseMode::kPerQuery) {
+    if (mode_ != DispenseMode::kPerQuery) {
       slot_count_ = std::max(1u, workers);
       slots_ = std::make_unique<RangeSlot[]>(slot_count_);
     }
@@ -214,11 +205,8 @@ class QueryQueue {
     if (seen >= total) {
       return false;
     }
-    uint64_t k = options_.chunk_size;
-    if (k == 0) {
-      k = std::max<uint64_t>(1, (total - seen) / (uint64_t{slot_count_} * 8));
-    }
-    k = std::clamp<uint64_t>(k, 1, kMaxDispenseChunk);
+    uint64_t k = std::clamp<uint64_t>((total - seen) / (uint64_t{slot_count_} * 8), 1,
+                                      kMaxDispenseChunk);
     uint64_t begin = counter_.fetch_add(k, std::memory_order_relaxed);
     if (begin >= total) {
       return false;
@@ -263,7 +251,7 @@ class QueryQueue {
 
   std::vector<NodeId> starts_;  // empty in the index-only form
   uint64_t count_ = 0;
-  DispenseOptions options_;
+  DispenseMode mode_;
   unsigned slot_count_ = 0;
   std::unique_ptr<RangeSlot[]> slots_;
   std::atomic<uint64_t> counter_{0};

@@ -143,12 +143,12 @@ struct SchedulerOptions {
   // Philox subsequence — (seed, query_id_offset + local id) — is unique
   // across every batch the service ever runs. Path rows stay batch-local.
   uint64_t query_id_offset = 0;
-  // How workers draw query ids from the QueryQueue (query_queue.h): chunked
-  // claiming with bounded stealing by default, per-query ticketing as the
-  // contention baseline bench_scheduler_scaling measures against. Paths are
-  // bit-identical across modes and chunk sizes — dispensation moves ids
-  // between workers, never randomness.
-  DispenseOptions dispense;
+  // How workers draw query ids from the QueryQueue (query_queue.h): adaptive
+  // chunked claiming with bounded stealing by default, per-query ticketing
+  // (the paper's literal §5.3 design) as the reference the parity tests and
+  // bench_scheduler_scaling compare against. Paths are bit-identical across
+  // modes — dispensation moves ids between workers, never randomness.
+  DispenseMode dispense = DispenseMode::kChunkedSteal;
   // In-flight walks each worker advances in lockstep passes. 0 = auto:
   // kDefaultWavefront when the graph outgrows kWavefrontAutoBytes,
   // walk-at-a-time otherwise. Explicit widths (1 = walk-at-a-time, no

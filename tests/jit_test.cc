@@ -460,11 +460,10 @@ TEST_F(JitTest, ParityAcrossThreadsAndWavefronts) {
 TEST_F(JitTest, ParityAcrossDispensationModes) {
   Graph graph = TestGraph();
   TemporalDecayWalk walk(0.1, 12);
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
+  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
     FlexiWalkerOptions options;
     options.host_threads = 4;
-    options.dispense.mode = mode;
+    options.dispense = mode;
     std::string tag = "disp_" + std::to_string(static_cast<int>(mode));
     ExpectEngineParity(graph, walk, options, tag.c_str());
   }

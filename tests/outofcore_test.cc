@@ -283,7 +283,7 @@ TEST(OutOfCore, OutOfRangeStartIsRejectedBeforeAnyWalk) {
 TEST(OutOfCore, DispenseModesLeavePathsIdentical) {
   // Both execution tiers share the QueryQueue dispensation subsystem; the
   // out-of-core driver dispenses parked-walk buffers through it, and no
-  // mode/chunk combination may move a path.
+  // mode may move a path.
   Graph g = TestGraph(300, 5.0, 41);
   const std::string path = BlockFilePath("dispense");
   PartitionToBlockFile(g, path, 2048);
@@ -295,15 +295,11 @@ TEST(OutOfCore, DispenseModesLeavePathsIdentical) {
   options.host_threads = 4;
 
   WalkResult reference = RunFlexiWalkerOutOfCore(store, walk, options, 2, starts, 5);
-  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunked,
-                            DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {0u, 3u}) {
-      FlexiWalkerOptions variant = options;
-      variant.dispense = {mode, chunk};
-      WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, variant, 2, starts, 5);
-      EXPECT_EQ(ooc.paths, reference.paths)
-          << "mode=" << static_cast<int>(mode) << " chunk=" << chunk;
-    }
+  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+    FlexiWalkerOptions variant = options;
+    variant.dispense = mode;
+    WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, variant, 2, starts, 5);
+    EXPECT_EQ(ooc.paths, reference.paths) << "mode=" << static_cast<int>(mode);
   }
   std::remove(path.c_str());
 }

@@ -1,5 +1,5 @@
 // Tests for the WalkScheduler: seed-stable parallelism (paths bit-identical
-// for any worker count, dispensation mode, chunk size, and steal schedule),
+// for any worker count, dispensation mode, and steal schedule),
 // deterministic counter merging, exactly-once query dispensation under
 // contention — including chunked claiming and range stealing — and the
 // dispensed() progress clamp.
@@ -93,32 +93,27 @@ TEST(WalkScheduler, EveryQueryRunsExactlyOnceUnderContention) {
 
 TEST(WalkScheduler, PathsBitIdenticalAcrossDispenseMatrix) {
   // The tentpole determinism contract: every query's Philox stream is keyed
-  // by its global id, so chunk size, steal schedule, dispensation mode, and
-  // thread count may only move ids between workers — never change a path.
+  // by its global id, so steal schedule, dispensation mode, and thread count
+  // may only move ids between workers — never change a path.
   Graph graph = TestGraph();
   Node2VecWalk walk(2.0, 0.5, 16);
   auto starts = AllNodesAsStarts(graph);
 
   SchedulerOptions reference_options;
   reference_options.num_threads = 1;
-  reference_options.dispense = {DispenseMode::kPerQuery, 0};
+  reference_options.dispense = DispenseMode::kPerQuery;
   WalkResult reference =
       WalkScheduler(reference_options).Run(graph, walk, starts, /*seed=*/1234, ItsStep());
 
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {uint32_t{0}, uint32_t{1}, uint32_t{3}, uint32_t{64},
-                           kMaxDispenseChunk}) {
-      for (unsigned threads : {1u, 2u, 8u}) {
-        SchedulerOptions options;
-        options.num_threads = threads;
-        options.dispense = {mode, chunk};
-        WalkResult result =
-            WalkScheduler(options).Run(graph, walk, starts, /*seed=*/1234, ItsStep());
-        EXPECT_EQ(result.paths, reference.paths)
-            << "mode=" << static_cast<int>(mode) << " chunk=" << chunk
-            << " threads=" << threads;
-      }
+  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+    for (unsigned threads : {1u, 2u, 8u}) {
+      SchedulerOptions options;
+      options.num_threads = threads;
+      options.dispense = mode;
+      WalkResult result =
+          WalkScheduler(options).Run(graph, walk, starts, /*seed=*/1234, ItsStep());
+      EXPECT_EQ(result.paths, reference.paths)
+          << "mode=" << static_cast<int>(mode) << " threads=" << threads;
     }
   }
 }
@@ -157,18 +152,17 @@ TEST(WalkScheduler, WavefrontPathParityMatrix) {
     SchedulerOptions reference_options;
     reference_options.num_threads = 1;
     reference_options.wavefront = 1;
-    reference_options.dispense = {DispenseMode::kPerQuery, 0};
+    reference_options.dispense = DispenseMode::kPerQuery;
     WalkResult reference =
         WalkScheduler(reference_options).Run(graph, walk, starts, /*seed=*/77, kernel.step);
 
     for (uint32_t wavefront : {1u, 4u, 16u}) {
       for (unsigned threads : {1u, 2u, 8u}) {
-        for (DispenseMode mode :
-             {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
+        for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
           SchedulerOptions options;
           options.num_threads = threads;
           options.wavefront = wavefront;
-          options.dispense = {mode, 0};
+          options.dispense = mode;
           WalkResult result =
               WalkScheduler(options).Run(graph, walk, starts, /*seed=*/77, kernel.step);
           EXPECT_EQ(result.paths, reference.paths)
@@ -219,60 +213,66 @@ TEST(QueryQueueChunked, ExactlyOnceAcrossModesUnderContention) {
   // range, no duplicates from a racing refill.
   constexpr size_t kIds = 20000;
   std::vector<NodeId> starts(kIds, 1);
-  for (DispenseMode mode :
-       {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
-    for (uint32_t chunk : {uint32_t{0}, uint32_t{7}}) {
-      QueryQueue queue(starts, /*workers=*/8, {mode, chunk});
-      std::vector<std::atomic<uint32_t>> claimed(kIds);
-      std::vector<std::thread> workers;
-      for (unsigned w = 0; w < 8; ++w) {
-        workers.emplace_back([&queue, &claimed, w] {
-          while (std::optional<QueryQueue::Query> next = queue.Next(w)) {
-            claimed[next->id].fetch_add(1, std::memory_order_relaxed);
-          }
-        });
-      }
-      for (auto& worker : workers) {
-        worker.join();
-      }
-      for (size_t id = 0; id < kIds; ++id) {
-        ASSERT_EQ(claimed[id].load(), 1u)
-            << "id " << id << " mode " << static_cast<int>(mode) << " chunk " << chunk;
-      }
-      EXPECT_EQ(queue.dispensed(), kIds);
+  for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
+    QueryQueue queue(starts, /*workers=*/8, mode);
+    std::vector<std::atomic<uint32_t>> claimed(kIds);
+    std::vector<std::thread> workers;
+    for (unsigned w = 0; w < 8; ++w) {
+      workers.emplace_back([&queue, &claimed, w] {
+        while (std::optional<QueryQueue::Query> next = queue.Next(w)) {
+          claimed[next->id].fetch_add(1, std::memory_order_relaxed);
+        }
+      });
     }
+    for (auto& worker : workers) {
+      worker.join();
+    }
+    for (size_t id = 0; id < kIds; ++id) {
+      ASSERT_EQ(claimed[id].load(), 1u) << "id " << id << " mode " << static_cast<int>(mode);
+    }
+    EXPECT_EQ(queue.dispensed(), kIds);
   }
 }
 
 TEST(QueryQueueChunked, StealUnderSkewedChunksRunsEveryIdExactlyOnce) {
-  // Deliberate skew: with chunk_size == kMaxDispenseChunk and exactly
-  // kMaxDispenseChunk ids, worker 0's first claim takes the entire queue.
-  // Worker 1 finds the global counter drained on arrival and can make
-  // progress only by stealing from worker 0's cursor; the queue must still
-  // dispense every id exactly once, and at least one steal must occur.
-  constexpr size_t kIds = kMaxDispenseChunk;
+  // Deliberate skew: worker 1 claims one adaptive chunk — remaining /
+  // (2 workers * 8) = kIds / 16 ids, [0, kChunk) — and then stalls. Worker 0
+  // alone drains the global counter; once it is exhausted, worker 0 can make
+  // progress only by stealing from worker 1's cursor. Single-threaded up to
+  // the steal, so every step is deterministic — no thread timing involved.
+  constexpr size_t kIds = 4096;
+  constexpr size_t kChunk = kIds / 16;
   std::vector<NodeId> starts(kIds, 1);
-  QueryQueue queue(starts, /*workers=*/2, {DispenseMode::kChunkedSteal, kMaxDispenseChunk});
+  QueryQueue queue(starts, /*workers=*/2, DispenseMode::kChunkedSteal);
+  std::vector<std::atomic<uint32_t>> claimed(kIds);
 
-  // Worker 0 claims the whole range up front, before worker 1 arrives.
-  std::optional<QueryQueue::Query> first = queue.Next(0);
+  std::optional<QueryQueue::Query> first = queue.Next(1);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->id, 0u);
-  EXPECT_EQ(queue.dispensed(), kIds);  // all ids already claimed into cursors
+  EXPECT_EQ(queue.dispensed(), kChunk);
+  claimed[first->id].fetch_add(1);
+
+  // Worker 0 drains every id outside worker 1's chunk, in order, without a
+  // steal: its own refills always succeed while the counter has ids left.
+  for (size_t id = kChunk; id < kIds; ++id) {
+    std::optional<QueryQueue::Query> next = queue.Next(0);
+    ASSERT_TRUE(next.has_value());
+    ASSERT_EQ(next->id, id);
+    claimed[next->id].fetch_add(1);
+  }
+  EXPECT_EQ(queue.dispensed(), kIds);
   EXPECT_EQ(queue.steals(), 0u);
 
-  // Worker 1's first pull cannot refill (the counter is drained): the only
-  // way forward is stealing the back half of worker 0's remaining
-  // [1, kIds). This is deterministic — no thread timing involved.
-  std::optional<QueryQueue::Query> stolen = queue.Next(1);
+  // The counter is drained: worker 0's next pull takes the back half of
+  // worker 1's remaining [1, kChunk) — the victim keeps the front, the thief
+  // gets [kChunk - (kChunk - 1) / 2, kChunk).
+  std::optional<QueryQueue::Query> stolen = queue.Next(0);
   ASSERT_TRUE(stolen.has_value());
   EXPECT_EQ(queue.steals(), 1u);
-  EXPECT_GE(stolen->id, kIds / 2) << "a thief takes from the victim's back half";
+  EXPECT_EQ(stolen->id, kChunk - (kChunk - 1) / 2) << "a thief takes the victim's back half";
+  claimed[stolen->id].fetch_add(1);
 
   // Drain both cursors concurrently; every id must land exactly once.
-  std::vector<std::atomic<uint32_t>> claimed(kIds);
-  claimed[first->id].fetch_add(1);
-  claimed[stolen->id].fetch_add(1);
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < 2; ++w) {
     workers.emplace_back([&, w] {
@@ -290,11 +290,13 @@ TEST(QueryQueueChunked, StealUnderSkewedChunksRunsEveryIdExactlyOnce) {
 }
 
 TEST(QueryQueueChunked, RefillsStayFarBelowPerQueryTicketCount) {
-  // The contention claim made concrete: draining N ids in chunked mode must
-  // touch the global counter O(N / K) times, not N times.
+  // The contention claim made concrete: draining N ids with adaptive chunks
+  // (remaining / (W * 8) per claim, a geometric shrink) touches the global
+  // counter about W * 8 * (1 + ln(N / (W * 8))) times — ~190 for N = 4096,
+  // W = 4 — not the N times per-query ticketing does.
   constexpr size_t kIds = 4096;
   std::vector<NodeId> starts(kIds, 1);
-  QueryQueue queue(starts, /*workers=*/4, {DispenseMode::kChunked, 64});
+  QueryQueue queue(starts, /*workers=*/4, DispenseMode::kChunkedSteal);
   std::vector<std::thread> workers;
   for (unsigned w = 0; w < 4; ++w) {
     workers.emplace_back([&queue, w] {
@@ -306,7 +308,7 @@ TEST(QueryQueueChunked, RefillsStayFarBelowPerQueryTicketCount) {
     worker.join();
   }
   EXPECT_EQ(queue.dispensed(), kIds);
-  EXPECT_LE(queue.refills(), kIds / 64 + 4);  // one claim per chunk (+ racing tails)
+  EXPECT_LE(queue.refills(), kIds / 16);
 }
 
 TEST(WalkScheduler, EmptyStartSetYieldsEmptyResult) {

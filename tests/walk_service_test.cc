@@ -115,11 +115,10 @@ TEST(WalkService, ServedPathsBitIdenticalAcrossWavefrontWidths) {
 
   for (uint32_t wavefront : {1u, 4u, 16u}) {
     for (unsigned threads : {1u, 2u, 8u}) {
-      for (DispenseMode mode :
-           {DispenseMode::kPerQuery, DispenseMode::kChunked, DispenseMode::kChunkedSteal}) {
+      for (DispenseMode mode : {DispenseMode::kPerQuery, DispenseMode::kChunkedSteal}) {
         WalkService::Options options = ItsOptions(42, threads);
         options.scheduler.wavefront = wavefront;
-        options.scheduler.dispense = {mode, 0};
+        options.scheduler.dispense = mode;
         WalkService service(graph, walk, options, ItsStep());
         BatchResult served = service.Submit({starts}).get();
         EXPECT_EQ(served.walk.paths, reference.paths)
