@@ -1,16 +1,17 @@
 // Network serving load generator: drives a WalkServer over localhost TCP
 // with many single-query closed-loop clients and measures QPS and latency
-// percentiles as a function of the request-coalescing window.
+// percentiles as a function of the request coalescer's wait bound.
 //
 // Two claims are demonstrated (the ISSUE 3 acceptance criteria):
 //
 //   1. Determinism across the socket — one client pipelining requests gets
 //      paths bit-identical to a one-shot FlexiWalkerEngine::Run over the
-//      same starts in submission order, for every coalesce window and
+//      same starts in submission order, for every wait bound and
 //      pipeline depth tried. Checked exactly; any mismatch fails the run.
-//   2. Coalescing pays — with many 1-query clients, a nonzero window merges
-//      requests into scheduler-sized batches (see the queries/batch
-//      column), lifting QPS over window=0 (coalescing disabled: one service
+//   2. Coalescing pays — with many 1-query clients, a nonzero bound lets
+//      the coalescer merge the requests that arrive while the pipeline is
+//      busy into scheduler-sized batches (see the queries/batch column),
+//      lifting QPS over bound=0 (coalescing disabled: one service
 //      batch per request) by amortizing everything per-batch: dispatcher +
 //      completer wakeups, pool job setup, result plumbing, and — via the
 //      server's corked writes — one response send() per connection per
@@ -18,13 +19,13 @@
 //      query is relative to those fixed costs, so the load phase serves the
 //      cheapest workload in the repo: DeepWalk on the cached static-walk
 //      fast path (O(1) per step). A final line shows what that fast path
-//      itself buys at a fixed window (ROADMAP's BuildNodeAliasTables
+//      itself buys at a fixed bound (ROADMAP's BuildNodeAliasTables
 //      consumer).
 //
 // Clients are "burst closed loop": each keeps `burst` single-query requests
 // in flight, so the admission stream stays busy without lock-stepping every
 // client to the same batch boundary. Latency numbers are wall-clock on the
-// host and vary by machine; the QPS shape across windows is the result.
+// host and vary by machine; the QPS shape across bounds is the result.
 //
 // Connection-count sweep (the event-loop tentpole's acceptance criterion):
 // N concurrent connections — far past what a thread-per-connection reader
@@ -511,7 +512,7 @@ int Main(int argc, char** argv) {
       return 1;
     }
   }
-  PrintHeader("Network serving: QPS / latency vs coalesce window",
+  PrintHeader("Network serving: QPS / latency vs wait bound",
               "ISSUE 3 tentpole; docs/SERVING.md \"Network serving\"");
 
   Graph graph = LoadDataset(DatasetByName("YT"), WeightDistribution::kUniform);
@@ -531,7 +532,7 @@ int Main(int argc, char** argv) {
        {ParityConfig{0.0, 1}, ParityConfig{0.5, 1}, ParityConfig{0.5, 4}, ParityConfig{2.0, 2}}) {
     bool ok = CheckServedParity(graph, walk, options, config.coalesce_ms, config.depth,
                                 parity_requests);
-    std::printf("parity vs one-shot engine | window %.1f ms | pipeline %u : %s\n",
+    std::printf("parity vs one-shot engine | bound %.1f ms | pipeline %u : %s\n",
                 config.coalesce_ms, config.depth, ok ? "bit-identical" : "MISMATCH");
     parity_ok &= ok;
   }
@@ -540,7 +541,7 @@ int Main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Claim 2: many 1-query closed-loop clients vs coalesce window. The
+  // --- Claim 2: many 1-query closed-loop clients vs wait bound. The
   // served workload is DeepWalk on the cached static-walk fast path, whose
   // O(1) steps make per-batch dispatch the dominant per-query cost — the
   // regime request coalescing exists for. ---
@@ -554,36 +555,36 @@ int Main(int argc, char** argv) {
   std::printf("\n%d clients x %d single-query requests (%d in flight per client), deepwalk "
               "len-16 on cached static tables, pipeline %u\n",
               clients, requests_per_client, burst, pipeline_depth);
-  Table table({"window_us", "QPS", "p50_us", "p99_us", "batches", "queries/batch"});
-  double qps_window0 = 0.0;
+  Table table({"bound_us", "QPS", "p50_us", "p99_us", "batches", "queries/batch"});
+  double qps_bound0 = 0.0;
   double qps_best = 0.0;
-  double best_window_us = 0.0;
-  for (double window_us : {0.0, 100.0, 300.0, 1000.0}) {
-    LoadStats stats = RunLoad(graph, deepwalk, cached_options, window_us / 1000.0,
+  double best_bound_us = 0.0;
+  for (double bound_us : {0.0, 100.0, 300.0, 1000.0}) {
+    LoadStats stats = RunLoad(graph, deepwalk, cached_options, bound_us / 1000.0,
                               pipeline_depth, clients, burst, requests_per_client);
-    if (window_us == 0.0) {
-      qps_window0 = stats.qps;
+    if (bound_us == 0.0) {
+      qps_bound0 = stats.qps;
     } else if (stats.qps > qps_best) {
       qps_best = stats.qps;
-      best_window_us = window_us;
+      best_bound_us = bound_us;
     }
-    table.AddRow({Table::Num(window_us), Table::Num(stats.qps), Table::Num(stats.p50_us),
+    table.AddRow({Table::Num(bound_us), Table::Num(stats.qps), Table::Num(stats.p50_us),
                   Table::Num(stats.p99_us), std::to_string(stats.batches),
                   Table::Num(stats.queries_per_batch)});
   }
   table.Print();
-  std::printf("\ncoalescing speedup (best nonzero window vs window=0): %.2fx\n",
-              qps_window0 > 0.0 ? qps_best / qps_window0 : 0.0);
+  std::printf("\ncoalescing speedup (best nonzero bound vs bound=0): %.2fx\n",
+              qps_bound0 > 0.0 ? qps_best / qps_bound0 : 0.0);
 
   // --- Satellite: what the cached static-walk fast path itself buys, at
-  // the best coalesce window found above. ---
+  // the best wait bound found above. ---
   FlexiWalkerOptions uncached_options = options;
   uncached_options.cache_static_tables = false;
-  LoadStats without_cache = RunLoad(graph, deepwalk, uncached_options, best_window_us / 1000.0,
+  LoadStats without_cache = RunLoad(graph, deepwalk, uncached_options, best_bound_us / 1000.0,
                                     pipeline_depth, clients, burst, requests_per_client);
-  std::printf("static-table cache off (same %g us window): %.1f QPS -> on: %.1f QPS "
+  std::printf("static-table cache off (same %g us bound): %.1f QPS -> on: %.1f QPS "
               "(%.2fx from skipping per-step kernels)\n",
-              best_window_us, without_cache.qps, qps_best,
+              best_bound_us, without_cache.qps, qps_best,
               without_cache.qps > 0.0 ? qps_best / without_cache.qps : 0.0);
   std::printf("served paths stayed bit-identical to the one-shot engine in every "
               "configuration above.\n");

@@ -105,7 +105,6 @@ struct CliOptions {
   std::string trace_out;
   jit::JitMode jit = jit::JitMode::kOff;
   std::string jit_cache_dir;
-  bool adaptive_window = true;
   // Every flag given on the command line, by its table name.
   std::set<std::string_view> given;
 
@@ -120,7 +119,7 @@ constexpr int kExitUnsupportedEngine = 2;
 constexpr int kExitMalformedInput = 3;
 
 // Strict unsigned parse: digits only, no sign, no trailing garbage, within
-// [lo, hi]. A wrapped negative would mean a 71-minute coalesce window or 4
+// [lo, hi]. A wrapped negative would mean a 71-minute wait bound or 4
 // billion walks rather than a harmless default.
 bool ParseUnsigned(const char* text, uint64_t lo, uint64_t hi, uint64_t& out) {
   errno = 0;
@@ -304,12 +303,10 @@ const std::vector<Flag>& FlagTable() {
       {"--listen", Unsigned(&O::listen_port, 0, 65535, "<port>"), kListen, false,
        "serve over TCP on 127.0.0.1:<port> (0 = ephemeral; the bound port is printed); "
        "stdin EOF or \"quit\" stops"},
-      // 60 s ceiling: anything longer is surely a typo, not a window.
+      // 60 s ceiling: anything longer is surely a typo, not a bound.
       {"--coalesce-us", Unsigned(&O::coalesce_us, 0, 60'000'000), kListen, false,
-       "server request-coalescing window (default 200)"},
-      {"--adaptive-window", Enum(&O::adaptive_window, Choices<bool>{{"on", true}, {"off", false}}),
-       kListen, false,
-       "EWMA-adaptive coalesce window: flush immediately when traffic is sparse (default on)"},
+       "coalescer wait bound: the longest a request waits for a free pipeline slot; "
+       "0 = one batch per request (default 200)"},
       {"--max-batch", Unsigned(&O::max_batch, 0, 1ull << 32), kListen, false,
        "coalescer flush threshold, queries (default 512)"},
       {"--admit", Unsigned(&O::admit, 0, 1ull << 32), kListen, false,
@@ -742,8 +739,9 @@ bool WriteMetricsFile(const std::string& path) {
 }
 
 // --listen: serve the prepared (graph, workload) over TCP until stdin EOF
-// or "quit". Requests coalesce into scheduler-sized batches under the
-// configured window/threshold, with admission backpressure; see
+// or "quit". Requests coalesce into scheduler-sized batches while the
+// service's pipeline slots are busy, under the configured wait bound and
+// size threshold, with admission backpressure; see
 // docs/SERVING.md ("Network serving").
 int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workload) {
   if (options.engine != "flexiwalker") {
@@ -780,7 +778,6 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
   WalkServer::Options server_options;
   server_options.port = options.listen_port;
   server_options.coalescer.max_delay_ms = options.coalesce_us / 1000.0;
-  server_options.coalescer.adaptive_window = options.adaptive_window;
   server_options.coalescer.max_batch_queries = options.max_batch;
   server_options.coalescer.max_outstanding_queries = options.admit;
   server_options.coalescer.overflow = options.overflow;
@@ -868,7 +865,7 @@ int Listen(const CliOptions& options, const Graph& graph, const WalkLogic& workl
     }
   });
   std::printf(
-      "listening on 127.0.0.1:%u | %u workers | coalesce window %u us | max batch %zu | "
+      "listening on 127.0.0.1:%u | %u workers | wait bound %u us | max batch %zu | "
       "pipeline %u | overflow %s | EOF or \"quit\" stops\n",
       server.port(), service->num_threads(), options.coalesce_us, options.max_batch,
       service->pipeline_depth(), OverflowName(options.overflow));

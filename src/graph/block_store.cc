@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace flexi {
 namespace {
@@ -42,6 +43,22 @@ static_assert(sizeof(DiskBlock) == 32);
 template <typename T>
 void WriteRaw(std::ostream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+// Reads `count` values of T at `offset` into `dst` in cache-sized chunks,
+// calling check(begin, end) on each chunk as soon as it lands. A second
+// validation pass over a multi-megabyte array, after it has left the
+// cache, costs a large share of the read itself; a hot chunk checks for a
+// fraction of that.
+template <typename T, typename Check>
+void ReadChecked(const RandomAccessFile& file, T* dst, size_t count, uint64_t offset,
+                 Check&& check) {
+  constexpr size_t kChunk = (size_t{128} << 10) / sizeof(T);
+  for (size_t begin = 0; begin < count; begin += kChunk) {
+    size_t n = std::min(kChunk, count - begin);
+    file.ReadAt(dst + begin, n * sizeof(T), offset + begin * sizeof(T));
+    check(begin, begin + n);
+  }
 }
 
 size_t EdgeBytes(bool weighted, bool labeled, bool temporal) {
@@ -159,13 +176,21 @@ size_t PartitionToBlockFile(const Graph& graph, const std::string& path, size_t 
 }
 
 BlockStore BlockStore::Open(const std::string& path, bool map) {
+  // The file is untrusted input: every count, offset and range it declares
+  // is checked against the file's size and the resident row_ptr before it
+  // sizes an allocation or addresses a read, so a truncated or corrupt file
+  // ends in std::runtime_error, never in a huge resize or a stray read.
+  auto reject = [&path](const std::string& what) {
+    throw std::runtime_error("BlockStore: " + what + " in " + path);
+  };
   BlockStore store;
   store.file_ = RandomAccessFile::Open(path, map);
+  const uint64_t file_size = store.file_.size();
 
   std::array<char, 8> magic{};
   store.file_.ReadAt(magic.data(), magic.size(), 0);
   if (magic != kBlockMagic) {
-    throw std::runtime_error("BlockStore: bad magic in " + path);
+    reject("bad magic");
   }
   FileHeader header;
   store.file_.ReadAt(&header, sizeof(header), sizeof(kBlockMagic));
@@ -177,26 +202,73 @@ BlockStore BlockStore::Open(const std::string& path, bool map) {
   store.weighted_ = (header.flags & kFlagWeighted) != 0;
   store.labeled_ = (header.flags & kFlagLabeled) != 0;
   store.temporal_ = (header.flags & kFlagTemporal) != 0;
-
-  uint64_t offset = sizeof(kBlockMagic) + sizeof(FileHeader);
-  store.row_ptr_.resize(static_cast<size_t>(store.num_nodes_) + 1);
-  store.file_.ReadAt(store.row_ptr_.data(), store.row_ptr_.size() * sizeof(EdgeId), offset);
-  offset += store.row_ptr_.size() * sizeof(EdgeId);
-  if (store.row_ptr_.back() != store.num_edges_) {
-    throw std::runtime_error("BlockStore: row_ptr does not close at num_edges");
+  if ((header.flags & ~(kFlagWeighted | kFlagLabeled | kFlagTemporal)) != 0) {
+    reject("unknown per-edge array flags");
   }
 
+  // Counts are 32-bit, so these byte totals cannot overflow 64 bits.
+  uint64_t offset = sizeof(kBlockMagic) + sizeof(FileHeader);
+  const uint64_t row_ptr_bytes = (uint64_t{header.num_nodes} + 1) * sizeof(EdgeId);
+  const uint64_t index_bytes = uint64_t{header.num_blocks} * sizeof(DiskBlock);
+  if (row_ptr_bytes + index_bytes > file_size - offset) {
+    reject("header declares more row_ptr/index entries than the file holds");
+  }
+  std::vector<EdgeId>& row = store.row_ptr_;
+  row.resize(static_cast<size_t>(store.num_nodes_) + 1);
+  // With every entry below 2^63, a step down shows as the top bit of the
+  // entry's difference from its predecessor: one branch-free OR per entry.
+  uint64_t top_bits = 0;
+  ReadChecked(store.file_, row.data(), row.size(), offset, [&](size_t begin, size_t end) {
+    uint64_t bits = 0;
+    for (size_t i = std::max<size_t>(begin, 1); i < end; ++i) {
+      bits |= row[i] | (row[i] - row[i - 1]);
+    }
+    top_bits |= bits;
+  });
+  offset += row_ptr_bytes;
+  if (row.front() != 0 || row.back() != store.num_edges_ || (top_bits >> 63) != 0) {
+    reject("row_ptr does not rise from 0 to num_edges");
+  }
+
+  // Blocks must tile [0, num_nodes) in order, each agreeing with row_ptr,
+  // and their payloads must be packed back to back from the end of the
+  // index to the end of the file, exactly as PartitionToBlockFile lays
+  // them out.
+  const uint64_t per_edge = store.BytesPerEdge();
   store.blocks_.resize(header.num_blocks);
+  uint64_t next_node = 0;
+  uint64_t next_payload = offset + index_bytes;
   for (uint32_t b = 0; b < header.num_blocks; ++b) {
     DiskBlock disk;
     store.file_.ReadAt(&disk, sizeof(disk), offset);
     offset += sizeof(disk);
+    const uint64_t end_node = uint64_t{disk.first_node} + disk.node_count;
+    if (disk.first_node != next_node || disk.node_count == 0 || end_node > header.num_nodes) {
+      reject("block " + std::to_string(b) + " does not continue the node tiling");
+    }
+    if (disk.first_edge != store.row_ptr_[disk.first_node] ||
+        disk.edge_count != store.row_ptr_[end_node] - disk.first_edge) {
+      reject("block " + std::to_string(b) + " edge range disagrees with row_ptr");
+    }
+    // next_payload <= file_size holds here, so neither side can wrap.
+    if (disk.payload_offset != next_payload ||
+        disk.edge_count > (file_size - next_payload) / per_edge) {
+      reject("block " + std::to_string(b) + " payload is not where the layout puts it");
+    }
+    next_node = end_node;
+    next_payload += disk.edge_count * per_edge;
     BlockMeta& meta = store.blocks_[b];
     meta.first_node = disk.first_node;
     meta.node_count = disk.node_count;
     meta.first_edge = disk.first_edge;
     meta.edge_count = disk.edge_count;
     meta.payload_offset = disk.payload_offset;
+  }
+  if (next_node != header.num_nodes) {
+    reject("blocks do not cover every node");
+  }
+  if (next_payload != file_size) {
+    reject("file size disagrees with the blocks' payloads");
   }
   return store;
 }
@@ -215,8 +287,22 @@ void BlockStore::ReadBlock(size_t b, BlockData& out) const {
   size_t edges = static_cast<size_t>(meta.edge_count);
   uint64_t offset = meta.payload_offset;
   out.adjacency.resize(edges);
-  file_.ReadAt(out.adjacency.data(), edges * sizeof(NodeId), offset);
+  // Walks index row_ptr and the block index by these ids; one past the
+  // graph must fail the load, not the walk.
+  NodeId* ids = out.adjacency.data();
+  uint32_t outside = 0;
+  ReadChecked(file_, ids, edges, offset, [ids, &outside, this](size_t begin, size_t end) {
+    uint32_t bits = 0;
+    for (size_t i = begin; i < end; ++i) {
+      bits |= ids[i] >= num_nodes_;
+    }
+    outside |= bits;
+  });
   offset += edges * sizeof(NodeId);
+  if (outside != 0) {
+    throw std::runtime_error("BlockStore: block " + std::to_string(b) +
+                             " holds a neighbor id outside the graph");
+  }
   if (weighted_) {
     out.weights.resize(edges);
     file_.ReadAt(out.weights.data(), edges * sizeof(float), offset);

@@ -70,7 +70,12 @@ struct BlockData {
 class BlockStore {
  public:
   // Opens a block file, loading header, row_ptr, and block index into
-  // memory. `map` selects mmap-backed reads (RandomAccessFile::Open).
+  // memory. `map` selects mmap-backed reads (RandomAccessFile::Open). The
+  // file is untrusted: throws std::runtime_error, before allocating for it,
+  // when the header's counts do not fit the file, and when row_ptr
+  // decreases, the blocks do not tile [0, num_nodes) in order consistently
+  // with row_ptr, or the payloads are not packed back to back up to the
+  // file's end (so none runs past it).
   static BlockStore Open(const std::string& path, bool map = false);
 
   NodeId num_nodes() const { return num_nodes_; }
@@ -103,7 +108,8 @@ class BlockStore {
   uint32_t BlockOf(NodeId v) const;
 
   // Loads block b's payload into `out`, resizing its vectors to the block's
-  // edge count (absent arrays are cleared). Thread-safe.
+  // edge count (absent arrays are cleared). Thread-safe. Throws
+  // std::runtime_error when a neighbor id is not below num_nodes().
   void ReadBlock(size_t b, BlockData& out) const;
 
   // Builds the non-owning Graph view over block b's loaded payload. `data`

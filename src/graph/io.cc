@@ -332,7 +332,8 @@ RandomAccessFile RandomAccessFile::Open(const std::string& path, bool map) {
 }
 
 void RandomAccessFile::ReadAt(void* dst, size_t bytes, uint64_t offset) const {
-  if (offset + bytes > size_) {
+  // Written so a huge `offset` cannot wrap past the check.
+  if (offset > size_ || bytes > size_ - offset) {
     throw std::runtime_error("RandomAccessFile: read past end of file");
   }
   if (map_ != nullptr) {

@@ -1,10 +1,8 @@
 #include "src/net/batch_coalescer.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -74,38 +72,8 @@ BatchCoalescer::AdmitStatus BatchCoalescer::TryEnqueue(std::vector<NodeId>& star
     m_would_block_->Add(1);
     return AdmitStatus::kWouldBlock;
   }
-  auto now = std::chrono::steady_clock::now();
-  if (options_.adaptive_window) {
-    // One gap computation feeds both the sparse decision and the EWMA, so
-    // the two can never disagree about the same arrival. A cold-start
-    // queue (no prior arrival) counts as idle-forever.
-    double gap_ms = have_last_arrival_
-                        ? std::chrono::duration<double, std::milli>(now - last_arrival_).count()
-                        : std::numeric_limits<double>::infinity();
-    if (pending_.empty()) {
-      // The satellite contract: a window opening after the queue sat idle
-      // longer than the window flushes immediately — whatever the EWMA
-      // remembers from before the idle period, nobody is coming inside
-      // this window, so holding it open is pure latency.
-      window_sparse_ = gap_ms > options_.max_delay_ms;
-    }
-    if (have_last_arrival_ && gap_ms <= options_.max_delay_ms) {
-      // Half-weight EWMA over *intra-window* gaps only: idle-period gaps
-      // are already handled by the sparse immediate flush above, and
-      // blending them in would poison the dense-traffic estimate for many
-      // windows after every idle stretch. The first real gap seeds the
-      // estimate outright (blending with the cold-start infinity would
-      // pin it there). The flusher uses this to shrink an open window's
-      // deadline under dense traffic (see FlushLoop).
-      ewma_gap_ms_ = std::isinf(ewma_gap_ms_) ? gap_ms : 0.5 * gap_ms + 0.5 * ewma_gap_ms_;
-    }
-    have_last_arrival_ = true;
-    last_arrival_ = now;
-  } else if (pending_.empty()) {
-    window_sparse_ = false;
-  }
   if (pending_.empty()) {
-    window_opened_ = now;
+    oldest_pending_ = std::chrono::steady_clock::now();
   }
   pending_.push_back({std::move(starts), std::move(done), std::move(place), std::move(deadline)});
   pending_queries_ += queries;
@@ -176,11 +144,11 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
   }
   obs::TraceRing& obs_trace = obs::TraceRing::Global();
   if (obs_trace.enabled()) {
-    // The coalesce span: window open -> this flush. steady_clock and the
-    // NowMicros timebase share an epoch offset, so convert via "ago".
+    // The coalesce span: oldest pending admission -> this flush. steady_clock
+    // and the NowMicros timebase share an epoch offset, so convert via "ago".
     uint64_t now_us = obs::NowMicros();
     auto held = std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - window_opened_)
+                    std::chrono::steady_clock::now() - oldest_pending_)
                     .count();
     uint64_t held_us = held > 0 ? static_cast<uint64_t>(held) : 0;
     obs_trace.Record("coalesce", 0, 0, now_us > held_us ? now_us - held_us : 0, now_us);
@@ -268,6 +236,7 @@ void BatchCoalescer::FlushWithLock(std::unique_lock<std::mutex>& lock, size_t re
   batch.submit_us = obs::NowMicros();
   lock.lock();
   inflight_.push_back(std::move(batch));
+  ++inflight_batches_;
   batches_flushed_.fetch_add(1, std::memory_order_relaxed);
   cv_complete_.notify_one();
 }
@@ -284,31 +253,21 @@ void BatchCoalescer::FlushLoop() {
       FlushWithLock(lock, 1, "single");
       continue;
     }
-    if (!shutdown_ && pending_queries_ < options_.max_batch_queries &&
-        !(options_.adaptive_window && window_sparse_)) {
-      // Hold the window open for stragglers: flush at the deadline or as
-      // soon as the batch-size threshold trips, whichever is first. A
-      // sparse-opened window (adaptive mode) skips the wait entirely —
-      // the queue sat idle longer than the window, so nobody is coming.
-      double delay_ms = options_.max_delay_ms;
-      if (options_.adaptive_window && !std::isinf(ewma_gap_ms_)) {
-        // Dense traffic: companions land within ~one EWMA gap of each
-        // other, so a few multiples of it catch the batch; holding the
-        // window longer only adds latency. Clamped to [5% of the window,
-        // the window], so the estimate can shrink but never stretch it.
-        delay_ms = std::clamp(4.0 * ewma_gap_ms_, 0.05 * options_.max_delay_ms,
-                              options_.max_delay_ms);
-      }
-      auto deadline = window_opened_ + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                                           std::chrono::duration<double, std::milli>(delay_ms));
-      cv_flush_.wait_until(lock, deadline, [this] {
-        return shutdown_ || pending_queries_ >= options_.max_batch_queries;
-      });
-    }
-    const char* reason = shutdown_                                             ? "shutdown"
-                         : pending_queries_ >= options_.max_batch_queries      ? "size"
-                         : (options_.adaptive_window && window_sparse_)        ? "sparse"
-                                                                               : "deadline";
+    // Work-conserving: flush at once while the service has a free pipeline
+    // slot. With every slot busy, hold what is pending until a batch
+    // retires (the completer notifies), max_batch_queries fills, or the
+    // oldest pending request has waited max_delay_ms.
+    auto slot_free = [this] { return inflight_batches_ < service_.pipeline_depth(); };
+    auto bound = oldest_pending_ +
+                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                     std::chrono::duration<double, std::milli>(options_.max_delay_ms));
+    cv_flush_.wait_until(lock, bound, [&] {
+      return shutdown_ || slot_free() || pending_queries_ >= options_.max_batch_queries;
+    });
+    const char* reason = shutdown_                                        ? "shutdown"
+                         : slot_free()                                    ? "slot"
+                         : pending_queries_ >= options_.max_batch_queries ? "size"
+                                                                          : "bound";
     FlushWithLock(lock, pending_.size(), reason);
   }
   flusher_done_ = true;
@@ -372,20 +331,14 @@ void BatchCoalescer::CompleteLoop() {
     }
     size_t offset = 0;
     if (!completed) {
-      // Slot release, then the hook, as on the other two paths: the hook is
-      // the only thing that unparks a kWouldBlock caller, so skipping it
-      // here would leave every connection parked behind this batch parked
-      // for good.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (const PendingRequest& request : batch.requests) {
-          inflight_queries_ -= request.starts.size();
-        }
-        m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
+      // The hook is the only thing that unparks a kWouldBlock caller, so a
+      // failed batch must retire through it like the other two paths, or
+      // every connection parked behind this batch stays parked for good.
+      size_t failed_queries = 0;
+      for (const PendingRequest& request : batch.requests) {
+        failed_queries += request.starts.size();
       }
-      if (on_batch_complete_) {
-        on_batch_complete_();
-      }
+      RetireBatch(failed_queries);
       continue;
     }
     if (cancelled) {
@@ -400,19 +353,7 @@ void BatchCoalescer::CompleteLoop() {
           request.deadline.expired();
         }
       }
-      // Release the admission slots BEFORE the hook: the hook unparks
-      // connections, whose re-admission TryEnqueue must see the freed
-      // quota. The reverse order re-parks them against a full quota, and
-      // if this was the last in-flight batch no later hook ever rescues
-      // them — a permanently parked connection.
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        inflight_queries_ -= cancelled_queries;
-        m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
-      }
-      if (on_batch_complete_) {
-        on_batch_complete_();
-      }
+      RetireBatch(cancelled_queries);
       continue;
     }
     uint64_t complete_start_us = obs_trace.enabled() ? obs::NowMicros() : 0;
@@ -446,18 +387,26 @@ void BatchCoalescer::CompleteLoop() {
     if (obs_trace.enabled()) {
       obs_trace.Record("complete", 0, 0, complete_start_us, obs::NowMicros());
     }
-    // Slot release precedes the hook (same reasoning as the cancelled
-    // path): the hook's unparked connections retry admission immediately,
-    // and must not race a quota that still counts this batch — if this was
-    // the last in-flight batch, a lost retry here parks them forever.
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      inflight_queries_ -= offset;
-      m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
-    }
-    if (on_batch_complete_) {
-      on_batch_complete_();
-    }
+    RetireBatch(offset);
+  }
+}
+
+void BatchCoalescer::RetireBatch(size_t queries) {
+  // Release the admission slots BEFORE the hook: the hook unparks
+  // connections, whose re-admission TryEnqueue must see the freed quota.
+  // The reverse order re-parks them against a full quota, and if this was
+  // the last in-flight batch no later hook ever rescues them — a
+  // permanently parked connection.
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    inflight_queries_ -= queries;
+    --inflight_batches_;
+    m_outstanding_->Set(static_cast<int64_t>(pending_queries_ + inflight_queries_));
+  }
+  // A pipeline slot just freed: whatever accumulated behind it flushes now.
+  cv_flush_.notify_one();
+  if (on_batch_complete_) {
+    on_batch_complete_();
   }
 }
 

@@ -2,23 +2,29 @@
 //
 // Network clients send small requests (often a single start node); the
 // WalkService is happiest with scheduler-sized batches. The BatchCoalescer
-// sits between them: TryEnqueue() admits a request into the pending
-// window, a flusher thread merges everything pending into one WalkBatch
-// when the window fills (max_batch_queries) or its deadline expires
-// (max_delay_ms after the first pending arrival), and a completer thread
-// carves each finished batch back into per-request results, invoking the
-// request callbacks with their own path rows and service-global first
-// query id.
+// sits between them: TryEnqueue() admits a request, a flusher thread merges
+// everything pending into one WalkBatch, and a completer thread carves each
+// finished batch back into per-request results, invoking the request
+// callbacks with their own path rows and service-global first query id.
+//
+// One work-conserving flush rule, with no timer to tune: the flusher flushes
+// everything pending as soon as the service has a free pipeline slot (fewer
+// of this coalescer's batches in flight than service.pipeline_depth()). An
+// idle service therefore runs a request the moment it arrives. While every
+// slot is busy, requests accumulate, and they flush together when a batch
+// retires, when max_batch_queries fills, or when the oldest has waited
+// max_delay_ms — so batch size follows load: tiny when traffic is sparse,
+// large exactly when the service is the bottleneck.
 //
 // Ordering and determinism: requests join the merged batch in admission
 // order, and only the flusher submits to the service, so the mapping from
 // arrival order to global query ids is exactly the mapping a client would
-// get submitting the same requests directly — coalescing (any window, any
-// flush carving) cannot change a single path (docs/SERVING.md).
+// get submitting the same requests directly — coalescing (any flush
+// carving) cannot change a single path (docs/SERVING.md).
 //
 // Backpressure: admission is bounded by max_outstanding_queries, counting
-// pending *and* in-flight queries — the window cannot hide a service that
-// has fallen behind. Admission never waits: overflow either asks the caller
+// pending *and* in-flight queries — pending requests cannot hide a service
+// that has fallen behind. Admission never waits: overflow either asks the caller
 // to park the request (kBlock — TryEnqueue returns kWouldBlock, the server
 // stops reading that connection, which is TCP's own flow control, and
 // re-presents the request when the batch-complete hook fires) or rejects
@@ -34,7 +40,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -56,25 +61,17 @@ class BatchCoalescer {
   };
 
   struct Options {
-    // Flush as soon as this many queries are pending, regardless of the
-    // window. Sized to keep one batch within a few scheduler quanta.
+    // Flush as soon as this many queries are pending, even while every
+    // pipeline slot is busy. Sized to keep one batch within a few scheduler
+    // quanta.
     size_t max_batch_queries = 512;
-    // Coalesce window: how long after the first pending arrival the flusher
-    // waits for more requests before flushing. <= 0 disables coalescing
-    // entirely — every admitted request becomes its own service batch, in
-    // admission order (the baseline bench_net_serving compares against).
+    // Wait bound: the longest a pending request waits for a free pipeline
+    // slot before it is flushed anyway (queueing behind the busy slots in
+    // the service). On an idle service nothing waits for it.
+    // <= 0 disables coalescing entirely — every admitted request becomes its
+    // own service batch, in admission order (the baseline bench_net_serving
+    // compares against).
     double max_delay_ms = 0.2;
-    // Adaptive coalesce window (ROADMAP serving item): track an EWMA of
-    // request inter-arrival gaps and, when a window opens after the queue
-    // has been idle longer than the window — and the EWMA agrees traffic is
-    // sparse — flush immediately instead of holding the window open.
-    // Sparse traffic then pays walk latency, not max_delay_ms; dense
-    // traffic (bursts, sustained load) quickly drags the EWMA under the
-    // window and keeps full coalescing. The first request of a burst after
-    // an idle period flushes alone; everything behind it coalesces. Off by
-    // default so fixed-window behavior is exact; the CLI serving mode turns
-    // it on (--adaptive-window).
-    bool adaptive_window = false;
     // Admission bound: pending + in-flight queries. Beyond it, TryEnqueue
     // answers kWouldBlock or kRejected per `overflow`.
     size_t max_outstanding_queries = 1 << 16;
@@ -162,7 +159,7 @@ class BatchCoalescer {
   BatchCoalescer(const BatchCoalescer&) = delete;
   BatchCoalescer& operator=(const BatchCoalescer&) = delete;
 
-  // Admits the request into the current window, without ever waiting.
+  // Admits the request into the pending queue, without ever waiting.
   // `place` optionally scatters the request's rows into caller-owned
   // storage (see Placement); requests with and without placements coalesce
   // into the same batches. `deadline` optionally bounds the request's life:
@@ -197,7 +194,7 @@ class BatchCoalescer {
   // not leak its admitted slots.
   size_t outstanding_queries() const;
 
-  // Stops admitting, flushes the pending window, waits for every in-flight
+  // Stops admitting, flushes everything pending, waits for every in-flight
   // batch to complete and every callback to run, then joins both threads.
   // Idempotent.
   void Shutdown();
@@ -243,13 +240,18 @@ class BatchCoalescer {
 
   void FlushLoop();
   void CompleteLoop();
+  // Called by the completer once per batch — completed, cancelled, or
+  // failed — after its callbacks ran: releases the batch's `queries`
+  // admission slots and its pipeline slot, wakes the flusher, then fires the
+  // batch-complete hook.
+  void RetireBatch(size_t queries);
   // Called by the flusher with `lock` (on mutex_) held; moves the first
   // `request_count` pending requests into one in-flight batch and submits
   // it to the service. Drops the lock around the batch build + arena
   // allocation + Submit (so big flushes don't stall TryEnqueue) and retakes
   // it before queueing the in-flight entry; single-flusher ordering keeps
   // the arrival-order -> global-id mapping intact. `reason` labels the
-  // flush in the registry: "size", "deadline", "sparse", "single", or
+  // flush in the registry: "slot", "size", "bound", "single", or
   // "shutdown".
   void FlushWithLock(std::unique_lock<std::mutex>& lock, size_t request_count,
                      const char* reason);
@@ -259,21 +261,17 @@ class BatchCoalescer {
   std::function<void()> on_batch_complete_;  // may be empty
 
   mutable std::mutex mutex_;
-  std::condition_variable cv_flush_;       // flusher waits for work/deadline
+  std::condition_variable cv_flush_;       // flusher waits for work/a free slot
   std::condition_variable cv_complete_;    // completer waits for in-flight batches
   std::vector<PendingRequest> pending_;
   size_t pending_queries_ = 0;
   size_t inflight_queries_ = 0;
-  std::chrono::steady_clock::time_point window_opened_{};
-  // Adaptive-window state (guarded by mutex_): when the last admission
-  // happened, the inter-arrival EWMA, and whether the currently open window
-  // was opened by a sparse arrival (flush it immediately).
-  std::chrono::steady_clock::time_point last_arrival_{};
-  bool have_last_arrival_ = false;
-  // Starts at infinity — a queue that has never seen traffic reads as
-  // idle-forever, so the first request is never window-delayed.
-  double ewma_gap_ms_ = std::numeric_limits<double>::infinity();
-  bool window_sparse_ = false;
+  // Batches submitted and not yet retired (completed, cancelled or failed):
+  // the flusher flushes whenever this is below service_.pipeline_depth().
+  size_t inflight_batches_ = 0;
+  // Admission time of the oldest pending request (every flush but "single"
+  // takes all of pending_): the start of the max_delay_ms wait bound.
+  std::chrono::steady_clock::time_point oldest_pending_{};
   std::deque<InFlightBatch> inflight_;
   bool shutdown_ = false;
   bool flusher_done_ = false;

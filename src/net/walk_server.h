@@ -38,7 +38,7 @@
 //
 // Multi-workload routing: the constructor's service is workload 0; more
 // (service, admission options) pairs register via RegisterWorkload() before
-// Start(), each with its own BatchCoalescer — its own window, its own
+// Start(), each with its own BatchCoalescer — its own wait bound, its own
 // pending+inflight quota, its own overflow policy — so one hot workload
 // saturating its quota cannot starve another's admission (requests carry
 // the target workload id in v2 frames; v1 frames mean workload 0).
@@ -46,7 +46,7 @@
 // Determinism across the socket: a single connection's requests reach a
 // workload's coalescer in the order they were written, so one client
 // pipelining requests gets paths bit-identical to submitting the same
-// batches straight into that WalkService — whatever the coalesce window,
+// batches straight into that WalkService — whatever the wait bound,
 // pipeline depth, or event-thread count (net_test.cc
 // ServedPathsMatchOneShotEngine). docs/SERVING.md has the full protocol and
 // semantics.

@@ -81,6 +81,13 @@ expect 0 "" -h
 expect 1 "0 1\n" "${yt[@]}" --workload deepwalk --serve --queries 4
 expect 1 "" "${yt[@]}" --workload deepwalk --listen 0 --serve
 expect 1 "" "${yt[@]}" --workload deepwalk --queries 4 --coalesce-us 5
+# --coalesce-us (the coalescer's wait bound) belongs to --listen; stdin EOF
+# stops the server at once. --adaptive-window is not a flag.
+expect 0 "" "${yt[@]}" --workload deepwalk --listen 0 --coalesce-us 5
+grep -q "wait bound 5 us" "$tmp/log" || fail "--listen banner does not report the wait bound"
+expect 1 "" "${yt[@]}" --workload deepwalk --listen 0 --adaptive-window on
+grep -q "unknown flag: --adaptive-window" "$tmp/log" ||
+  fail "--adaptive-window was not rejected as an unknown flag"
 expect 1 "" "${yt[@]}" --workload deepwalk --queries 4 --pipeline 2
 expect 1 "0 1\n" --connect 7331 --wavefront 8
 expect 1 "" "${yt[@]}" --workload deepwalk --queries 4 --workload-id 1

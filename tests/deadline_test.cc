@@ -31,6 +31,7 @@
 #include "src/walker/path_arena.h"
 #include "src/walker/walk_service.h"
 #include "src/walks/node2vec.h"
+#include "tests/test_util.h"
 
 namespace flexi {
 namespace {
@@ -64,7 +65,9 @@ std::vector<NodeId> Range(NodeId begin, NodeId end) {
 
 // A served FlexiWalker stack mirroring net_test's ServedStack, with the
 // walk length configurable so the mid-run cancellation test can make a
-// batch genuinely long-running.
+// batch genuinely long-running. A non-null `gate` serves inverse-transform
+// steps held at the gate instead, so a test can keep a batch in flight —
+// and the stack's only pipeline slot busy — for as long as it needs.
 struct DeadlineStack {
   Graph graph;
   Node2VecWalk walk;
@@ -73,14 +76,18 @@ struct DeadlineStack {
   std::unique_ptr<WalkServer> server;
 
   explicit DeadlineStack(double coalesce_ms, BatchCoalescer::Options coalescer_extra = {},
-                         WalkServer::Options server_base = {}, uint32_t walk_length = 12)
+                         const StepGate* gate = nullptr, uint32_t walk_length = 12)
       : walk(2.0, 0.5, walk_length) {
     graph = TestGraph();
     engine_options.edge_cost_ratio = 4.0;  // pin the selector: no profiling noise
     engine_options.host_threads = 4;
-    service = MakeFlexiWalkerService(graph, walk, engine_options, /*seed=*/99,
-                                     /*pipeline_depth=*/1);
-    WalkServer::Options server_options = server_base;
+    if (gate != nullptr) {
+      service = std::make_unique<WalkService>(graph, walk, ItsOptions(99), gate->Step());
+    } else {
+      service = MakeFlexiWalkerService(graph, walk, engine_options, /*seed=*/99,
+                                       /*pipeline_depth=*/1);
+    }
+    WalkServer::Options server_options;
     server_options.port = 0;
     server_options.backlog = 64;
     server_options.coalescer = coalescer_extra;
@@ -95,6 +102,15 @@ struct DeadlineStack {
     service->Shutdown();
   }
 };
+
+// Polls `done` every millisecond for up to 5 s; returns its last answer.
+template <typename Pred>
+bool Eventually(Pred done) {
+  for (int i = 0; i < 5000 && !done(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
 
 void ExpectOutstandingDrains(const BatchCoalescer& coalescer,
                              std::chrono::seconds deadline = std::chrono::seconds(10)) {
@@ -195,17 +211,20 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   BatchCoalescer::Options coalescer;
   coalescer.max_outstanding_queries = 8;
   coalescer.overflow = BatchCoalescer::OverflowPolicy::kBlock;
-  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer);
+  StepGate gate;
+  DeadlineStack stack(/*coalesce_ms=*/80.0, coalescer, &gate);
+  StepGate::ReleaseAtExit release{gate};
   obs::Counter& decode_sheds = obs::MetricsRegistry::Global().GetCounter(
       obs::WithLabel("flexi_requests_deadline_exceeded_total", "stage", "decode"));
   uint64_t decode_sheds_before = decode_sheds.Value();
 
   // One send carrying three pipelined frames. The first fills the admission
-  // bound; the second (deadline-free) parks the connection, so the third
-  // stays undecoded in the connection's decoder until the first batch's
-  // completion unparks the second. By the time the third decodes, its
-  // 20 ms budget — anchored at recv, when its bytes actually arrived — is
-  // long gone, so it must be shed at decode, before admission.
+  // bound, and its batch stays in flight at the gate; the second
+  // (deadline-free) parks the connection, so the third stays undecoded in
+  // the connection's decoder until the first batch's completion unparks the
+  // second. The gate opens only after the third's 20 ms budget — anchored
+  // at recv, when its bytes actually arrived — is long gone, so it must be
+  // shed at decode, before admission.
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr{};
@@ -221,6 +240,9 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
   late.deadline_us = 20'000;
   AppendRequestFrame(bytes, late);
   ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0), static_cast<ssize_t>(bytes.size()));
+  ASSERT_TRUE(Eventually([&] { return stack.server->coalescer().outstanding_queries() == 8; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  gate.Release();
 
   std::map<uint64_t, WireFrame> answers;
   FrameDecoder decoder;
@@ -248,31 +270,44 @@ TEST(DeadlineShedding, ExpiredAtDecodeIsRejectedBeforeAdmission) {
 // ------------------------------------------------------------- flush shed --
 
 TEST(DeadlineShedding, LapsedAtFlushIsShedAndSurvivorsStayBitIdentical) {
-  DeadlineStack stack(/*coalesce_ms=*/150.0);
+  StepGate gate;
+  DeadlineStack stack(/*coalesce_ms=*/150.0, {}, &gate);
+  StepGate::ReleaseAtExit release{gate};
+  const BatchCoalescer& coalescer = stack.server->coalescer();
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
 
-  // Both requests land in the same pending window; the first's 30 ms budget
-  // lapses long before the 150 ms flush, so the flusher drops it — and
-  // because a flush-shed member never consumed global query ids, the
-  // survivor's rows must equal a one-shot engine run over the survivor's
-  // starts alone.
+  // A blocker request's batch holds the only pipeline slot at the gate, so
+  // the next two requests accumulate in pending. The first's 30 ms budget
+  // lapses before the gate opens, so the flusher drops it — and because a
+  // flush-shed member never consumed global query ids, the survivor's rows
+  // must equal a direct run over the blocker's starts, then the survivor's
+  // alone.
+  const std::vector<NodeId> blocker_starts = {3};
+  std::future<WalkClient::Result> blocker = client.Submit(blocker_starts);
+  ASSERT_TRUE(Eventually([&] { return coalescer.batches_flushed() == 1; }));
   std::future<WalkClient::Result> doomed =
       client.Submit(Range(5, 7), /*workload_id=*/0, /*deadline_us=*/30'000);
   std::vector<NodeId> survivor_starts = Range(40, 45);
   std::future<WalkClient::Result> survivor = client.Submit(survivor_starts);
+  ASSERT_TRUE(Eventually([&] { return coalescer.outstanding_queries() == 8; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(60));
+  gate.Release();
 
   try {
     doomed.get();
-    FAIL() << "a request whose deadline lapses in the pending window must be shed at flush";
+    FAIL() << "a request whose deadline lapses while pending must be shed at flush";
   } catch (const ServerError& e) {
     EXPECT_EQ(e.code(), WireErrorCode::kDeadlineExceeded);
   }
+  EXPECT_EQ(blocker.get().num_queries, 1u);
   WalkClient::Result survived = survivor.get();
-  EXPECT_EQ(survived.first_query_id, 0u);  // the shed request consumed no ids
-  WalkResult reference =
-      FlexiWalkerEngine(stack.engine_options).Run(stack.graph, stack.walk, survivor_starts, 99);
-  EXPECT_EQ(survived.paths, reference.paths);
+  // The shed request consumed no ids: the survivor follows the blocker.
+  EXPECT_EQ(survived.first_query_id, blocker_starts.size());
+  WalkService reference_service(stack.graph, stack.walk, ItsOptions(99), ItsStep());
+  reference_service.Submit({blocker_starts}).get();
+  BatchResult reference = reference_service.Submit({survivor_starts}).get();
+  EXPECT_EQ(survived.paths, reference.walk.paths);
 
   // The shed is visible through the stats frame, stage-labeled.
   std::string stats = client.FetchStats();
@@ -287,9 +322,9 @@ TEST(DeadlineShedding, LapsedAtFlushIsShedAndSurvivorsStayBitIdentical) {
 TEST(DeadlineShedding, AllDeadlinedBatchIsCancelledMidRun) {
   // A genuinely long batch: 4000-step node2vec over 1024 queries takes far
   // longer than the 15 ms budget, so the request survives decode and flush
-  // (window 0: it flushes immediately) and must be cancelled cooperatively
+  // (bound 0: it flushes immediately) and must be cancelled cooperatively
   // mid-run.
-  DeadlineStack stack(/*coalesce_ms=*/0.0, {}, {}, /*walk_length=*/4000);
+  DeadlineStack stack(/*coalesce_ms=*/0.0, {}, nullptr, /*walk_length=*/4000);
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
 
@@ -403,13 +438,15 @@ TEST(ClientRetry, PermanentErrorsAreNeverRetried) {
 // ------------------------------------------------------------------- drain --
 
 TEST(Drain, BeginDrainRejectsNewRequestsAndFinishesAdmittedWork) {
-  DeadlineStack stack(/*coalesce_ms=*/200.0);
+  StepGate gate;
+  DeadlineStack stack(/*coalesce_ms=*/200.0, {}, &gate);
+  StepGate::ReleaseAtExit release{gate};
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   std::future<WalkClient::Result> admitted = client.Submit(Range(0, 4));
-  // Let the admitted request reach the coalescer's pending window before
-  // the drain begins; it sits there until the 200 ms flush.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // Let the admitted request's batch reach the gate before the drain
+  // begins; it stays in flight until the gate opens.
+  ASSERT_TRUE(Eventually([&] { return stack.server->coalescer().batches_flushed() == 1; }));
 
   std::thread drainer([&] { stack.server->BeginDrain(std::chrono::seconds(10)); });
   while (!stack.server->draining()) {
@@ -424,6 +461,7 @@ TEST(Drain, BeginDrainRejectsNewRequestsAndFinishesAdmittedWork) {
     EXPECT_EQ(e.code(), WireErrorCode::kDraining);
   }
   // ...while already-admitted work runs to completion and is delivered.
+  gate.Release();
   EXPECT_EQ(admitted.get().num_queries, 4u);
   drainer.join();
   EXPECT_TRUE(stack.server->draining());

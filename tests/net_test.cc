@@ -3,7 +3,7 @@
 // BatchCoalescer's merge/flush/backpressure semantics, and the end-to-end
 // server <-> client contract — paths served over the socket are
 // bit-identical to a one-shot engine run over the same starts and seed,
-// regardless of coalesce window or pipeline depth (the walk_service_test
+// regardless of wait bound or pipeline depth (the walk_service_test
 // determinism contract extended across TCP).
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -36,6 +36,7 @@
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/walk_service.h"
 #include "src/walks/node2vec.h"
+#include "tests/test_util.h"
 
 namespace flexi {
 namespace {
@@ -229,17 +230,42 @@ BatchCoalescer::AdmitStatus Admit(BatchCoalescer& coalescer, std::vector<NodeId>
 
 constexpr auto kAdmitted = BatchCoalescer::AdmitStatus::kAdmitted;
 
+// Admits `starts` as one request and waits until the coalescer has flushed
+// it. On a pipeline_depth 1 service stepping through a closed StepGate, the
+// request's batch then holds the only pipeline slot until the gate opens.
+std::future<BatchCoalescer::RequestResult> AdmitBlocker(BatchCoalescer& coalescer,
+                                                        std::vector<NodeId> starts) {
+  auto done = std::make_shared<std::promise<BatchCoalescer::RequestResult>>();
+  auto future = done->get_future();
+  uint64_t flushed = coalescer.batches_flushed();
+  EXPECT_EQ(Admit(coalescer, std::move(starts),
+                  [done](BatchCoalescer::RequestResult result) {
+                    done->set_value(std::move(result));
+                  }),
+            kAdmitted);
+  for (int spin = 0; spin < 5000 && coalescer.batches_flushed() == flushed; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(coalescer.batches_flushed(), flushed + 1) << "an idle coalescer must flush at once";
+  return future;
+}
+
 TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 10);
 
-  // Coalesced: five requests admitted inside one 100 ms window become one
-  // service batch.
-  WalkService coalesced_service(graph, walk, ItsOptions(42), ItsStep());
+  // Coalesced: a blocker batch holds the only pipeline slot at the gate, so
+  // five requests admitted meanwhile accumulate and become one service
+  // batch when it retires.
+  StepGate gate;
+  WalkService coalesced_service(graph, walk, ItsOptions(42), gate.Step());
   BatchCoalescer::Options options;
-  options.max_delay_ms = 100.0;
+  options.max_delay_ms = 10'000.0;
   options.max_batch_queries = 1 << 20;
   BatchCoalescer coalescer(coalesced_service, options);
+  StepGate::ReleaseAtExit release{gate};
+  const std::vector<NodeId> blocker_starts = {7};
+  auto blocker = AdmitBlocker(coalescer, blocker_starts);
 
   std::vector<std::pair<NodeId, NodeId>> requests = {{0, 5}, {5, 6}, {6, 30}, {30, 31}, {31, 40}};
   std::vector<std::promise<BatchCoalescer::RequestResult>> done(requests.size());
@@ -252,23 +278,26 @@ TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
                     }),
               kAdmitted);
   }
+  gate.Release();
   std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
     results.push_back(future.get());
   }
-  EXPECT_EQ(coalescer.batches_flushed(), 1u);
-  EXPECT_EQ(coalesced_service.batches_completed(), 1u);
-  EXPECT_EQ(coalescer.requests_admitted(), requests.size());
+  blocker.get();
+  EXPECT_EQ(coalescer.batches_flushed(), 2u);  // the blocker, then one merged batch
+  EXPECT_EQ(coalesced_service.batches_completed(), 2u);
+  EXPECT_EQ(coalescer.requests_admitted(), requests.size() + 1);
 
-  // Reference: the same 40 starts as one direct batch on an identical
-  // service. Every request's slice must match its offset range, and its
-  // first_query_id must be the offset itself.
+  // Reference: the blocker, then the same 40 starts as one direct batch, on
+  // an identical service. Every request's slice must match its offset
+  // range, and its first_query_id must be the offset itself.
   WalkService direct(graph, walk, ItsOptions(42), ItsStep());
+  direct.Submit({blocker_starts}).get();
   BatchResult reference = direct.Submit({Range(0, 40)}).get();
   uint64_t offset = 0;
   for (size_t r = 0; r < requests.size(); ++r) {
     size_t queries = requests[r].second - requests[r].first;
-    EXPECT_EQ(results[r].first_query_id, offset);
+    EXPECT_EQ(results[r].first_query_id, reference.first_query_id + offset);
     EXPECT_EQ(results[r].num_queries, queries);
     std::vector<NodeId> expected(
         reference.walk.paths.begin() + offset * reference.walk.path_stride,
@@ -284,12 +313,14 @@ TEST(BatchCoalescer, MergesRequestsAndSlicesMatchDirectSubmission) {
 TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
-  WalkService service(graph, walk, ItsOptions(7), ItsStep());
+  StepGate gate;  // the first request's batch stays in flight meanwhile
+  WalkService service(graph, walk, ItsOptions(7), gate.Step());
   BatchCoalescer::Options options;
-  options.max_delay_ms = 200.0;  // the first request stays pending meanwhile
+  options.max_delay_ms = 200.0;
   options.max_outstanding_queries = 8;
   options.overflow = BatchCoalescer::OverflowPolicy::kReject;
   BatchCoalescer coalescer(service, options);
+  StepGate::ReleaseAtExit release{gate};
 
   std::promise<BatchCoalescer::RequestResult> first_done;
   auto first_future = first_done.get_future();
@@ -306,7 +337,8 @@ TEST(BatchCoalescer, RejectPolicyRefusesWhenAdmissionBoundHit) {
             BatchCoalescer::AdmitStatus::kRejected);
   EXPECT_EQ(coalescer.requests_rejected(), 1u);
 
-  coalescer.Shutdown();  // flushes the pending window
+  gate.Release();
+  coalescer.Shutdown();  // waits for the in-flight batch
   BatchCoalescer::RequestResult result = first_future.get();
   EXPECT_EQ(result.num_queries, 8u);
   EXPECT_EQ(result.first_query_id, 0u);
@@ -368,14 +400,21 @@ TEST(BatchCoalescer, FailedBatchFiresHookSoParkedRequestIsAdmitted) {
   // so without it a request parked behind the failed batch stays parked.
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
-  WalkService service(graph, walk, ItsOptions(7), ItsStep());
+  StepGate gate;
+  WalkService service(graph, walk, ItsOptions(7), gate.Step());
   BatchCoalescer::Options options;
-  options.max_delay_ms = 200.0;  // the bad request holds the bound meanwhile
+  options.max_delay_ms = 200.0;
   options.max_outstanding_queries = 1;
   options.overflow = BatchCoalescer::OverflowPolicy::kBlock;
   HookProbe probe;  // outlives the coalescer, whose threads call the hook
   BatchCoalescer coalescer(service, options);
   coalescer.SetBatchCompleteHook(probe.Hook());
+  StepGate::ReleaseAtExit release{gate};
+  // A batch submitted straight to the service holds its only pipeline slot
+  // at the gate. The bad request's batch queues behind it, so it stays in
+  // flight — holding the bound — until the gate opens; the service checks
+  // starts when it runs a batch.
+  std::future<BatchResult> blocker = service.Submit({{1}});
 
   ASSERT_EQ(Admit(coalescer, {graph.num_nodes() + 5},
                   [](BatchCoalescer::RequestResult) {
@@ -391,6 +430,8 @@ TEST(BatchCoalescer, FailedBatchFiresHookSoParkedRequestIsAdmitted) {
   BatchCoalescer::PlaceFn place;
   ASSERT_EQ(coalescer.TryEnqueue(starts, done, place), BatchCoalescer::AdmitStatus::kWouldBlock);
 
+  gate.Release();
+  blocker.get();
   ASSERT_TRUE(probe.WaitFired(1)) << "the failed batch released its slots without the hook";
   EXPECT_EQ(coalescer.outstanding_queries(), 0u);
   ASSERT_EQ(coalescer.TryEnqueue(starts, done, place), kAdmitted);
@@ -418,120 +459,82 @@ TEST(BatchCoalescer, EmptyRequestCompletes) {
   EXPECT_EQ(future.get().num_queries, 0u);
 }
 
-TEST(BatchCoalescer, AdaptiveWindowFlushesSparseTrafficImmediately) {
-  // A 10-second window would normally hold every request for 10 s; with the
-  // adaptive window on, a cold-start request (the queue has been idle
-  // forever) and a request arriving after a gap longer than the window must
-  // both flush immediately — sparse traffic pays walk latency, not
-  // max_delay_ms. The giant window doubles as the flakiness guard: if the
-  // adaptive path failed, the .get() calls below would stall 10 s each.
+TEST(BatchCoalescer, IdleServiceRunsARequestWithoutWaitingOutTheBound) {
+  // The work-conserving rule: a free pipeline slot flushes at once. The
+  // 10-second wait bound doubles as the flakiness guard: a coalescer that
+  // waited for companions would stall the .get() below for 10 s.
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
   WalkService service(graph, walk, ItsOptions(7), ItsStep());
   BatchCoalescer::Options options;
   options.max_delay_ms = 10'000.0;
-  options.adaptive_window = true;
   BatchCoalescer coalescer(service, options);
 
-  auto walk_one = [&](NodeId start) {
-    std::promise<BatchCoalescer::RequestResult> done;
-    auto future = done.get_future();
-    EXPECT_EQ(Admit(coalescer, {start},
-                    [&done](BatchCoalescer::RequestResult result) {
-                      done.set_value(std::move(result));
-                    }),
-              kAdmitted);
-    return future.get();
-  };
+  std::promise<BatchCoalescer::RequestResult> done;
+  auto future = done.get_future();
   auto t0 = std::chrono::steady_clock::now();
-  walk_one(1);  // cold start: idle-forever counts as sparse
+  ASSERT_EQ(Admit(coalescer, {1},
+                  [&done](BatchCoalescer::RequestResult result) {
+                    done.set_value(std::move(result));
+                  }),
+            kAdmitted);
+  EXPECT_EQ(future.get().num_queries, 1u);
   double elapsed_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
   EXPECT_LT(elapsed_ms, 5'000.0);
   EXPECT_EQ(coalescer.batches_flushed(), 1u);
 }
 
-TEST(BatchCoalescer, AdaptiveWindowFlushesPostIdleGapImmediately) {
-  // A request arriving after the queue sat idle longer than the window must
-  // not wait the window out. With a 1 s window and a 1.2 s idle gap, the
-  // adaptive path completes both requests in ~the gap itself; the fixed
-  // window would take ~gap + 2 windows (>= 3.2 s), so the 2.4 s bound
-  // discriminates with a wide margin on a noisy host.
+TEST(BatchCoalescer, BusyPipelineAccumulatesUntilABatchRetires) {
+  // With the only pipeline slot held at the gate, four admitted requests
+  // stay pending (no bound, no size trigger), then flush as exactly one
+  // batch when the blocker retires — with the paths a direct submission of
+  // the same starts produces.
   Graph graph = CoalescerGraph();
   Node2VecWalk walk(2.0, 0.5, 6);
-  WalkService service(graph, walk, ItsOptions(7), ItsStep());
+  StepGate gate;
+  WalkService service(graph, walk, ItsOptions(7, /*threads=*/4, /*depth=*/1), gate.Step());
   BatchCoalescer::Options options;
-  options.max_delay_ms = 1'000.0;
-  options.adaptive_window = true;
+  options.max_delay_ms = 10'000.0;
   BatchCoalescer coalescer(service, options);
-
-  auto walk_one = [&](NodeId start) {
-    std::promise<BatchCoalescer::RequestResult> done;
-    auto future = done.get_future();
-    EXPECT_EQ(Admit(coalescer, {start},
-                    [&done](BatchCoalescer::RequestResult result) {
-                      done.set_value(std::move(result));
-                    }),
-              kAdmitted);
-    return future.get();
-  };
-  auto t0 = std::chrono::steady_clock::now();
-  walk_one(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(1'200));  // idle > window
-  walk_one(2);
-  double elapsed_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
-  EXPECT_LT(elapsed_ms, 2'400.0);
-  EXPECT_EQ(coalescer.batches_flushed(), 2u);
-}
-
-TEST(BatchCoalescer, AdaptiveWindowStillCoalescesDenseTraffic) {
-  // After the cold-start flush, back-to-back arrivals must read as dense:
-  // the window stays open and the concurrent requests merge exactly as with
-  // the fixed window.
-  Graph graph = CoalescerGraph();
-  Node2VecWalk walk(2.0, 0.5, 6);
-  WalkService service(graph, walk, ItsOptions(7), ItsStep());
-  BatchCoalescer::Options options;
-  options.max_delay_ms = 1'000.0;
-  // Size-triggered flush for the dense run, so the test never waits out
-  // the window even if a scheduling hiccup misclassifies a request.
-  options.max_batch_queries = 4;
-  options.adaptive_window = true;
-  BatchCoalescer coalescer(service, options);
-
-  std::promise<BatchCoalescer::RequestResult> cold_done;
-  auto cold = cold_done.get_future();
-  ASSERT_EQ(Admit(coalescer, {1},
-                  [&](BatchCoalescer::RequestResult result) {
-                    cold_done.set_value(std::move(result));
-                  }),
-            kAdmitted);
-  // Wait for the cold FLUSH (not completion): the sparse/dense decision
-  // keys off enqueue-to-enqueue gaps, so gating on batches_flushed keeps
-  // the dense enqueues' gaps tiny regardless of how long the cold walk
-  // itself takes on a loaded host.
-  for (int spin = 0; spin < 2000 && coalescer.batches_flushed() == 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_EQ(coalescer.batches_flushed(), 1u);
+  StepGate::ReleaseAtExit release{gate};
+  auto blocker = AdmitBlocker(coalescer, {9});
 
   std::vector<std::promise<BatchCoalescer::RequestResult>> done(4);
   std::vector<std::future<BatchCoalescer::RequestResult>> futures;
   for (size_t r = 0; r < done.size(); ++r) {
     futures.push_back(done[r].get_future());
-    ASSERT_EQ(Admit(coalescer, {static_cast<NodeId>(r)},
+    ASSERT_EQ(Admit(coalescer, {static_cast<NodeId>(r), static_cast<NodeId>(r + 20)},
                     [&done, r](BatchCoalescer::RequestResult result) {
                       done[r].set_value(std::move(result));
                     }),
               kAdmitted);
   }
+  // Long enough for a coalescer that flushed on arrival to show it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(coalescer.batches_flushed(), 1u) << "requests flushed while every slot was busy";
+  EXPECT_EQ(coalescer.outstanding_queries(), 9u);
+
+  gate.Release();
+  blocker.get();
+  std::vector<BatchCoalescer::RequestResult> results;
   for (auto& future : futures) {
-    future.get();
+    results.push_back(future.get());
   }
-  // Dense run: one window, one merged batch (2 total with the cold start).
   EXPECT_EQ(coalescer.batches_flushed(), 2u);
-  cold.get();
+  EXPECT_EQ(service.batches_completed(), 2u);
+
+  WalkService direct(graph, walk, ItsOptions(7), ItsStep());
+  direct.Submit({{9}}).get();
+  BatchResult reference = direct.Submit({{0, 20, 1, 21, 2, 22, 3, 23}}).get();
+  uint32_t stride = reference.walk.path_stride;
+  for (size_t r = 0; r < results.size(); ++r) {
+    EXPECT_EQ(results[r].first_query_id, reference.first_query_id + 2 * r);
+    std::vector<NodeId> expected(reference.walk.paths.begin() + 2 * r * stride,
+                                 reference.walk.paths.begin() + (2 * r + 2) * stride);
+    std::vector<NodeId> got(results[r].paths.begin(), results[r].paths.end());
+    EXPECT_EQ(got, expected) << "request " << r;
+  }
 }
 
 TEST(BatchCoalescer, RequestResultArenaOutlivesCoalescer) {
@@ -647,12 +650,20 @@ struct ServedStack {
   std::unique_ptr<WalkService> service;
   std::unique_ptr<WalkServer> server;
 
+  // A non-null `gate` serves inverse-transform steps held at the gate
+  // instead of FlexiWalker, so a test can keep a batch in flight.
   explicit ServedStack(double coalesce_ms, unsigned pipeline_depth,
-                       BatchCoalescer::Options extra = {}, WalkServer::Options base = {}) {
+                       BatchCoalescer::Options extra = {}, WalkServer::Options base = {},
+                       const StepGate* gate = nullptr) {
     graph = CoalescerGraph();
     engine_options.edge_cost_ratio = 4.0;  // pin: skip profiling in tests
     engine_options.host_threads = 4;
-    service = MakeFlexiWalkerService(graph, walk, engine_options, /*seed=*/99, pipeline_depth);
+    if (gate != nullptr) {
+      service = std::make_unique<WalkService>(graph, walk, ItsOptions(99, 4, pipeline_depth),
+                                              gate->Step());
+    } else {
+      service = MakeFlexiWalkerService(graph, walk, engine_options, /*seed=*/99, pipeline_depth);
+    }
     WalkServer::Options server_options = base;
     server_options.port = 0;  // ephemeral
     server_options.coalescer = extra;
@@ -753,14 +764,17 @@ TEST(WalkServerEndToEnd, OverloadRejectionSurfacesAsError) {
   BatchCoalescer::Options coalescer;
   coalescer.max_outstanding_queries = 8;
   coalescer.overflow = BatchCoalescer::OverflowPolicy::kReject;
-  // A long window parks the first request in the pending window, so the
-  // second deterministically exceeds the admission bound.
-  ServedStack stack(/*coalesce_ms=*/200.0, /*pipeline_depth=*/1, coalescer);
+  // The gate keeps the first request's batch in flight, so the second
+  // deterministically exceeds the admission bound.
+  StepGate gate;
+  ServedStack stack(/*coalesce_ms=*/200.0, /*pipeline_depth=*/1, coalescer, {}, &gate);
+  StepGate::ReleaseAtExit release{gate};
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   std::future<WalkClient::Result> first = client.Submit(Range(0, 8));
   EXPECT_THROW(client.Walk({1}), std::runtime_error);  // kOverloaded
-  EXPECT_EQ(first.get().num_queries, 8u);  // flushed at the window deadline
+  gate.Release();
+  EXPECT_EQ(first.get().num_queries, 8u);  // completes once the gate opens
 }
 
 TEST(WalkServerEndToEnd, GarbageBytesCloseThatConnectionOnly) {
@@ -1215,10 +1229,12 @@ TEST(WalkServerFaults, DeadlineExpiryWhileParkedAnswersAndDrains) {
   BatchCoalescer::Options coalescer;
   coalescer.max_outstanding_queries = 8;
   coalescer.overflow = BatchCoalescer::OverflowPolicy::kBlock;
-  // A long window keeps the first request pending — holding every admission
-  // slot — so the deadlined second request parks on the event loop, and its
-  // budget lapses while parked, long before the window would flush.
-  ServedStack stack(/*coalesce_ms=*/200.0, /*pipeline_depth=*/1, coalescer);
+  // The gate keeps the first request's batch in flight — holding every
+  // admission slot — so the deadlined second request parks on the event
+  // loop, and its budget lapses while parked.
+  StepGate gate;
+  ServedStack stack(/*coalesce_ms=*/200.0, /*pipeline_depth=*/1, coalescer, {}, &gate);
+  StepGate::ReleaseAtExit release{gate};
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", stack.server->port()));
   std::future<WalkClient::Result> admitted = client.Submit(Range(0, 8));
@@ -1233,6 +1249,7 @@ TEST(WalkServerFaults, DeadlineExpiryWhileParkedAnswersAndDrains) {
   // The admitted batch is untouched by the shed, and nothing leaks: a
   // parked request holds no admission slot, so its expiry must leave the
   // coalescer's accounting exactly balanced.
+  gate.Release();
   EXPECT_EQ(admitted.get().num_queries, 8u);
   client.Close();
   ExpectOutstandingDrains(stack.server->coalescer());

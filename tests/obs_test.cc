@@ -25,6 +25,7 @@
 #include "src/walker/flexiwalker_engine.h"
 #include "src/walker/walk_service.h"
 #include "src/walks/node2vec.h"
+#include "tests/test_util.h"
 
 namespace flexi {
 namespace {
@@ -356,20 +357,21 @@ TEST(ObsEndToEnd, AdmissionRejectionsAreCounted) {
   Graph graph = GenerateErdosRenyi(256, 8.0, 71);
   AssignWeights(graph, WeightDistribution::kUniform, 0.0, 72);
   Node2VecWalk walk(2.0, 0.5, 12);
-  FlexiWalkerOptions engine_options;
-  engine_options.edge_cost_ratio = 4.0;
-  engine_options.host_threads = 4;
-  auto service = MakeFlexiWalkerService(graph, walk, engine_options, /*seed=*/5,
-                                        /*pipeline_depth=*/1);
+  // The gate keeps the first request's batch in flight on the only
+  // pipeline slot, so the second deterministically exceeds the tiny
+  // admission bound.
+  StepGate gate;
+  WalkService::Options service_options;
+  service_options.seed = 5;
+  service_options.scheduler.num_threads = 4;
+  auto service = std::make_unique<WalkService>(graph, walk, service_options, gate.Step());
   WalkServer::Options server_options;
   server_options.port = 0;
-  // A long window parks the first request in the pending window, so the
-  // second deterministically exceeds the tiny admission bound.
   server_options.coalescer.max_delay_ms = 200.0;
-  server_options.coalescer.adaptive_window = false;
   server_options.coalescer.max_outstanding_queries = 8;
   server_options.coalescer.overflow = BatchCoalescer::OverflowPolicy::kReject;
   WalkServer server(*service, graph.num_nodes(), server_options);
+  StepGate::ReleaseAtExit release{gate};
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
@@ -381,6 +383,7 @@ TEST(ObsEndToEnd, AdmissionRejectionsAreCounted) {
   }
   std::future<WalkClient::Result> first = client.Submit(std::move(eight));
   EXPECT_THROW(client.Walk({1}), std::runtime_error);  // kOverloaded
+  gate.Release();
   EXPECT_EQ(first.get().num_queries, 8u);
 
   std::string text = client.FetchStats();

@@ -2,10 +2,18 @@
 // pin/evict semantics, and the determinism contract — block-cached walks
 // are bit-identical to the in-memory engine across every cache size, thread
 // count, wavefront width, and JIT setting (out_of_core.h), and out-of-range
-// starts are rejected.
+// starts are rejected. Block files are untrusted input: truncated and
+// corrupted files must end in std::runtime_error, never in a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <random>
 #include <stdexcept>
 #include <vector>
 
@@ -300,6 +308,193 @@ TEST(OutOfCore, DispenseModesLeavePathsIdentical) {
     variant.dispense = mode;
     WalkResult ooc = RunFlexiWalkerOutOfCore(store, walk, variant, 2, starts, 5);
     EXPECT_EQ(ooc.paths, reference.paths) << "mode=" << static_cast<int>(mode);
+  }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------- untrusted block files --
+
+// Byte layout of a block file (block_store.cc): 8-byte magic, 40-byte
+// header, (num_nodes + 1) u64 row_ptr entries, 32-byte index entries, then
+// the packed payloads.
+constexpr size_t kHeaderAt = 8;
+constexpr size_t kRowPtrAt = kHeaderAt + 40;
+constexpr size_t kIndexEntryBytes = 32;
+
+struct BlockFileImage {
+  std::vector<char> bytes;
+  size_t index_at = 0;
+  size_t payload_at = 0;
+  size_t num_blocks = 0;
+};
+
+// A small weighted, labeled, temporal graph spread over several blocks,
+// written once and read back as bytes for the corruption tests.
+BlockFileImage SmallBlockFile(const std::string& path) {
+  Graph g = TestGraph(64, 4.0, 53);
+  AssignLabels(g, 3, 54);
+  AssignTimestamps(g, 50.0f, 55);
+  BlockFileImage image;
+  image.num_blocks = PartitionToBlockFile(g, path, kMinBlockBytes);
+  std::ifstream in(path, std::ios::binary);
+  image.bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  image.index_at = kRowPtrAt + (static_cast<size_t>(g.num_nodes()) + 1) * sizeof(EdgeId);
+  image.payload_at = image.index_at + image.num_blocks * kIndexEntryBytes;
+  return image;
+}
+
+void WriteImage(const std::string& path, const std::vector<char>& bytes, size_t size) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(size));
+}
+
+template <typename T>
+void Poke(std::vector<char>& bytes, size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+template <typename T>
+T Peek(const std::vector<char>& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+// Opens the file, loads every block and walks a few starts out of core.
+// Returns false when the store rejected the file with std::runtime_error;
+// any other exception escapes and fails the calling test, and a crash
+// fails the whole suite.
+bool OpensLoadsAndWalks(const std::string& path, bool map) {
+  try {
+    BlockStore store = BlockStore::Open(path, map);
+    BlockData data;
+    for (size_t b = 0; b < store.num_blocks(); ++b) {
+      store.ReadBlock(b, data);
+    }
+    std::vector<NodeId> starts;
+    for (NodeId v = 0; v < std::min<NodeId>(store.num_nodes(), 16); ++v) {
+      starts.push_back(v);
+    }
+    DeepWalk walk(6);
+    FlexiWalkerOptions options;
+    options.edge_cost_ratio = 4.0;
+    options.host_threads = 1;
+    RunFlexiWalkerOutOfCore(store, walk, options, 2, starts, 1);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+}
+
+TEST(BlockFileFuzz, IntactFileOpensLoadsAndWalks) {
+  const std::string path = BlockFilePath("fuzz_intact");
+  BlockFileImage image = SmallBlockFile(path);
+  ASSERT_GE(image.num_blocks, 3u) << "the corruption tests need several blocks";
+  EXPECT_EQ(image.payload_at + Peek<uint64_t>(image.bytes, kHeaderAt + 8) * 13,
+            image.bytes.size())
+      << "layout constants disagree with block_store.cc";
+  for (bool map : {false, true}) {
+    EXPECT_TRUE(OpensLoadsAndWalks(path, map));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockFileFuzz, EveryTruncationIsRejected) {
+  const std::string path = BlockFilePath("fuzz_truncate");
+  BlockFileImage image = SmallBlockFile(path);
+  for (size_t size = 0; size < image.bytes.size(); ++size) {
+    WriteImage(path, image.bytes, size);
+    for (bool map : {false, true}) {
+      EXPECT_FALSE(OpensLoadsAndWalks(path, map)) << "prefix " << size << " map " << map;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockFileFuzz, InconsistentStructureIsRejected) {
+  const std::string path = BlockFilePath("fuzz_structure");
+  const BlockFileImage image = SmallBlockFile(path);
+  const uint32_t num_nodes = Peek<uint32_t>(image.bytes, kHeaderAt);
+  const size_t last_entry = image.index_at + (image.num_blocks - 1) * kIndexEntryBytes;
+  struct Case {
+    const char* name;
+    std::function<void(std::vector<char>&)> corrupt;
+  };
+  const Case cases[] = {
+      {"num_nodes past the file",
+       [&](std::vector<char>& b) { Poke<uint32_t>(b, kHeaderAt, num_nodes + 1000); }},
+      {"num_blocks past the file",
+       [&](std::vector<char>& b) { Poke<uint32_t>(b, kHeaderAt + 4, 1000); }},
+      {"unknown flag", [&](std::vector<char>& b) { Poke<uint32_t>(b, kHeaderAt + 24, 1u << 7); }},
+      {"decreasing row_ptr",
+       [&](std::vector<char>& b) {
+         size_t at = kRowPtrAt + 10 * sizeof(EdgeId);
+         Poke<EdgeId>(b, at, Peek<EdgeId>(b, at + sizeof(EdgeId)) + 1);
+       }},
+      {"block skips a node",
+       [&](std::vector<char>& b) {
+         size_t at = image.index_at + kIndexEntryBytes;
+         Poke<uint32_t>(b, at, Peek<uint32_t>(b, at) + 1);
+       }},
+      {"block edge range off row_ptr",
+       [&](std::vector<char>& b) {
+         size_t at = image.index_at + kIndexEntryBytes + 16;
+         Poke<uint64_t>(b, at, Peek<uint64_t>(b, at) + 1);
+       }},
+      {"payload offset that wraps",
+       [&](std::vector<char>& b) { Poke<uint64_t>(b, last_entry + 24, ~uint64_t{0} - 2); }},
+      {"payload offset past the end",
+       [&](std::vector<char>& b) { Poke<uint64_t>(b, last_entry + 24, b.size()); }},
+      {"neighbor id outside the graph",
+       [&](std::vector<char>& b) { Poke<NodeId>(b, image.payload_at, num_nodes); }},
+  };
+  for (const Case& c : cases) {
+    std::vector<char> bytes = image.bytes;
+    c.corrupt(bytes);
+    WriteImage(path, bytes, bytes.size());
+    for (bool map : {false, true}) {
+      EXPECT_FALSE(OpensLoadsAndWalks(path, map)) << c.name << ", map " << map;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BlockFileFuzz, SeededByteFlipsAreRejectedOrHarmless) {
+  // Some flips leave a different but well-formed file (a weight's mantissa,
+  // the max_degree hint, an interior row_ptr entry that stays sorted); those
+  // must load and walk cleanly. Every flip in the block index breaks the
+  // tiling or the packed layout, so those must all be rejected.
+  const std::string path = BlockFilePath("fuzz_flips");
+  const BlockFileImage image = SmallBlockFile(path);
+  struct Region {
+    const char* name;
+    size_t begin;
+    size_t end;
+    bool always_rejected;
+  };
+  const Region regions[] = {
+      {"header", kHeaderAt, kRowPtrAt, false},
+      {"row_ptr", kRowPtrAt, image.index_at, false},
+      {"index", image.index_at, image.payload_at, true},
+      {"payload", image.payload_at, image.bytes.size(), false},
+  };
+  std::mt19937_64 rng(20240611);
+  for (const Region& region : regions) {
+    int rejected = 0;
+    constexpr int kFlips = 64;
+    for (int i = 0; i < kFlips; ++i) {
+      std::vector<char> bytes = image.bytes;
+      size_t at = region.begin + rng() % (region.end - region.begin);
+      bytes[at] = static_cast<char>(bytes[at] ^ static_cast<char>(1 + rng() % 255));
+      WriteImage(path, bytes, bytes.size());
+      bool loaded = OpensLoadsAndWalks(path, false);
+      EXPECT_EQ(OpensLoadsAndWalks(path, true), loaded) << region.name << " byte " << at;
+      rejected += loaded ? 0 : 1;
+      if (region.always_rejected) {
+        EXPECT_FALSE(loaded) << region.name << " byte " << at;
+      }
+    }
+    EXPECT_GT(rejected, 0) << region.name;
   }
   std::remove(path.c_str());
 }

@@ -2,14 +2,18 @@
 #ifndef FLEXIWALKER_TESTS_TEST_UTIL_H_
 #define FLEXIWALKER_TESTS_TEST_UTIL_H_
 
+#include <atomic>
 #include <cstdint>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/metrics/stats.h"
+#include "src/sampling/inverse_transform.h"
 #include "src/sampling/sampler.h"
+#include "src/walker/scheduler.h"
 #include "src/walks/deepwalk.h"
 #include "src/walks/walk_context.h"
 
@@ -89,6 +93,37 @@ inline std::vector<std::vector<float>> DistributionTestWeightSets() {
        7, 2, 9, 1, 3, 2, 8, 4, 2, 6, 1, 5, 3, 2, 7, 1},
   };
 }
+
+// A step gate for serving tests that need a busy pipeline: every step of a
+// service built on Step() yields until Release(), then samples exactly as
+// InverseTransformStep. On a pipeline_depth 1 service, one batch held at the
+// gate occupies the only slot, so the coalescer keeps later requests
+// pending — deterministically, with no timer. Declare the gate before the
+// service (the kernel points at it) and a ReleaseAtExit after the
+// coalescer or server, so a failing assertion cannot leave a batch spinning
+// while they shut down.
+class StepGate {
+ public:
+  StepKernel Step() const {
+    const std::atomic<bool>* open = &open_;
+    return [open](const WalkContext& ctx, const WalkLogic& logic, const QueryState& q,
+                  KernelRng& rng) {
+      while (!open->load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      return InverseTransformStep(ctx, logic, q, rng);
+    };
+  }
+  void Release() { open_.store(true, std::memory_order_release); }
+
+  struct ReleaseAtExit {
+    StepGate& gate;
+    ~ReleaseAtExit() { gate.Release(); }
+  };
+
+ private:
+  std::atomic<bool> open_{false};
+};
 
 }  // namespace flexi
 

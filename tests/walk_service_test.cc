@@ -19,6 +19,7 @@
 #include "src/sampling/inverse_transform.h"
 #include "src/walks/deepwalk.h"
 #include "src/walks/node2vec.h"
+#include "tests/test_util.h"
 
 namespace flexi {
 namespace {
@@ -484,26 +485,29 @@ TEST(MultiWorkloadServing, QuotaExhaustedWorkloadDoesNotStarveTheOther) {
   options.edge_cost_ratio = 4.0;
   options.host_threads = 4;
   auto service_a = MakeFlexiWalkerService(graph, n2v, options, /*seed=*/7);
-  auto service_b = MakeFlexiWalkerService(graph, deepwalk, options, /*seed=*/8);
+  // Workload 1 steps through a gate, so the quota-filling request's batch
+  // deterministically stays in flight while the rejections and the
+  // cross-workload probes run.
+  StepGate gate;
+  auto service_b = std::make_unique<WalkService>(graph, deepwalk, ItsOptions(8, 4), gate.Step());
 
   WalkServer::Options server_options;
   server_options.port = 0;
   server_options.coalescer.max_delay_ms = 0.2;  // workload 0 stays snappy
   WalkServer server(*service_a, graph.num_nodes(), server_options);
-  // Workload 1: tiny quota, reject on overflow, and a window long enough
-  // that the quota-filling request deterministically sits in pending while
-  // the rejections and the cross-workload probes run.
+  // Workload 1: tiny quota, reject on overflow.
   BatchCoalescer::Options starved;
   starved.max_outstanding_queries = 4;
   starved.overflow = BatchCoalescer::OverflowPolicy::kReject;
   starved.max_delay_ms = 2000.0;
   uint32_t workload_b = server.RegisterWorkload("starved", *service_b, starved);
+  StepGate::ReleaseAtExit release{gate};
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
 
   WalkClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-  // Fill workload 1's quota; the long window parks it in pending.
+  // Fill workload 1's quota; the gate holds its batch in flight.
   std::future<WalkClient::Result> parked = client.Submit({0, 1, 2, 3}, workload_b);
   // Give the event loop a moment to admit it before probing the quota.
   auto quota_full = [&] {
@@ -532,14 +536,16 @@ TEST(MultiWorkloadServing, QuotaExhaustedWorkloadDoesNotStarveTheOther) {
                           std::chrono::steady_clock::now() - wall_start)
                           .count();
   EXPECT_EQ(rejections, 8);
-  // All 8 workload-0 round trips finished while workload 1's 2-second
-  // window was still holding its quota — bounded latency, not starvation.
+  // All 8 workload-0 round trips finished while workload 1's gated batch
+  // was still holding its quota — bounded latency, not starvation.
   EXPECT_LT(elapsed_ms, 1900.0);
   EXPECT_EQ(server.workload_requests_rejected(workload_b), 8u);
   EXPECT_EQ(server.workload_requests_rejected(0), 0u);
 
-  // Stop flushes workload 1's pending window: the parked request completes
-  // with its responses delivered before the connection closes.
+  // Once the gate opens, Stop waits out workload 1's in-flight batch: the
+  // parked request completes with its responses delivered before the
+  // connection closes.
+  gate.Release();
   server.Stop();
   WalkClient::Result parked_result = parked.get();
   EXPECT_EQ(parked_result.num_queries, 4u);
